@@ -1,47 +1,3 @@
-"""Build script: compiles the optional enumeration kernel.
+from setuptools import setup
 
-The package is fully functional without the extension (a NumPy fallback is
-selected at import time), so compilation failures only cost speed.
-"""
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Build the C kernel if possible; fall back to pure Python otherwise."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            print(f"WARNING: skipping C extension build ({exc}); "
-                  "clustercount will use the NumPy fallback kernel")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"WARNING: failed to build {ext.name} ({exc}); "
-                  "clustercount will use the NumPy fallback kernel")
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("WARNING: Cython not available; skipping extension build")
-        return []
-    return cythonize(
-        [
-            Extension(
-                "clustercount._countcore",
-                ["src/clustercount/_countcore.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup()

@@ -1,11 +1,17 @@
-"""NumPy fallback for the enumeration kernel.
+"""NumPy enumeration kernel: the vectorised form of `counting.vertex_rule`.
 
-Same contract as the compiled `_countcore.count_block`: count the weighted
-x-assignments with index in [lo, hi), where the assignment index is read as
-a base-q number whose most significant digit is the first vertex.  Each
-vertex t with right-hand side r = 1 + alpha_t * prod(neighbors) contributes
-a factor 1 if x_t != 0, q if x_t == 0 and r == 0, and kills the assignment
-otherwise.
+`count_block` counts the weighted x-assignments with index in [lo, hi),
+where the assignment index is read as a base-q number whose most
+significant digit is the first vertex.  Each vertex t with right-hand side
+r = 1 + alpha_t * prod(neighbors) contributes a factor 1 if x_t != 0, q if
+x_t == 0 and r == 0, and kills the assignment otherwise.  The scalar scan
+`counting._count_scalar` is its reference.
+
+A live assignment weighs q^k, k its number of zero digits.  Each block
+tallies its live assignments by k with `np.bincount`, and the tallies are
+combined as sum tally[k] * q^k in Python integers, so the count is exact for
+every n and q: no machine-word product is ever formed.  Only the assignment
+indices are int64, so `hi` may not pass 2^63.
 """
 
 from __future__ import annotations
@@ -15,29 +21,32 @@ import numpy as np
 BLOCK = 1 << 15
 
 
-def count_block(n, q, mul, plus_one, alpha, nbr_off, nbr, lo, hi,
-                block=BLOCK) -> int:
+def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
+    """`mul` and `plus_one` are the field's lookup tables on encodings,
+    `alpha` the coefficient encodings and `nbrs` the neighbor positions,
+    both in vertex order."""
+    if hi > 2**63:
+        raise OverflowError(f"assignment index {hi - 1} does not fit in int64")
+    n = len(alpha)
     if n == 0:
         return int(hi - lo)
-    total = 0
+    tally = np.zeros(n + 1, dtype=np.int64)
     for a in range(lo, hi, block):
         b = min(hi, a + block)
         m = b - a
-        idx = np.arange(a, b, dtype=np.int64)
         x = np.empty((n, m), dtype=np.int64)
-        rem = idx
+        rem = np.arange(a, b, dtype=np.int64)
         for t in range(n - 1, -1, -1):
             x[t] = rem % q
-            rem = rem // q
-        weight = np.ones(m, dtype=np.int64)
+            rem //= q
+        free = np.zeros(m, dtype=np.int64)
         alive = np.ones(m, dtype=bool)
         for t in range(n):
             prod = np.full(m, alpha[t], dtype=np.int64)
-            for j in range(nbr_off[t], nbr_off[t + 1]):
-                prod = mul[prod, x[nbr[j]]]
-            r = plus_one[prod]
-            zero_here = x[t] == 0
-            alive &= ~(zero_here & (r != 0))
-            np.multiply(weight, q, out=weight, where=zero_here & (r == 0))
-        total += int(weight[alive].sum())
-    return total
+            for j in nbrs[t]:
+                prod = mul[prod, x[j]]
+            zero = x[t] == 0
+            alive &= ~zero | (plus_one[prod] == 0)
+            free += zero
+        tally += np.bincount(free[alive], minlength=n + 1)
+    return sum(int(c) * q**k for k, c in enumerate(tally))

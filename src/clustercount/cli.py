@@ -4,8 +4,9 @@ All results go to stdout as a single JSON object (or array for `check`);
 diagnostics go to stderr.  Counts are serialized as decimal strings so
 arbitrary-precision values survive any JSON consumer.
 
-Exit codes: 0 success, 1 mathematical disagreement or failed check,
-2 usage error, 3 enumeration budget exceeded.
+Exit codes: 0 success, 1 mathematical disagreement, failed check or
+arithmetic error (a count or a fit that cannot be right), 2 usage error,
+3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def cmd_count(args) -> int:
     for m in methods:
         if m == "brute":
             results[m] = brute_count(instance, budget=args.budget,
-                                     jobs=args.jobs, engine=args.engine)
+                                     jobs=args.jobs)
         elif m == "recursion":
             results[m] = recursive_count(instance)
         else:
@@ -210,7 +211,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_suite(args.suite, engine=args.engine)
+    results = run_suite(args.suite)
     _emit([r.to_json() for r in results])
     return 0 if all(r.ok for r in results) else MATH_ERROR
 
@@ -229,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tree-file", help="forest file: 'u v' per edge, "
                                            "'v' per isolated vertex")
         p.add_argument("--alpha",
-                       help="coefficients: comma-separated integers (mod p), "
-                            "vectors as colon-separated digits; either one "
-                            "value per vertex or just the normal-form "
-                            "parameters; default all ones")
+                       help="coefficients: comma-separated integers (below "
+                            "q a raw encoding, otherwise mod p), vectors as "
+                            "colon-separated digits; either one value per "
+                            "vertex or just the normal-form parameters; "
+                            "default all ones")
         p.add_argument("--coeff-file", help="coefficient file: 'v value' "
                                             "per line, default 1")
         p.add_argument("--q", type=int, required=True,
@@ -248,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["brute", "recursion", "formula", "all"])
     p_count.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                          help="parallel workers for enumeration")
-    p_count.add_argument("--engine", default="auto",
-                         choices=["auto", "ext", "numpy", "scalar"],
-                         help="enumeration kernel")
     p_count.set_defaults(fn=cmd_count)
 
     p_norm = sub.add_parser("normalize",
@@ -282,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="paper (everything) or one of: typeA, typeD, "
                               "typeE, reduction, yz, fibration, smoothness, "
                               "cohomology, interpolation, primepower")
-    p_check.add_argument("--engine", default="auto",
-                         choices=["auto", "ext", "numpy", "scalar"])
     p_check.set_defaults(fn=cmd_check)
 
     return parser
@@ -300,6 +297,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MATH_ERROR
     except (ClusterCountError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

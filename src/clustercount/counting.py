@@ -7,10 +7,10 @@ vertex t:
 
 Enumeration runs over x-assignments only: with r_t the right-hand side, a
 vertex contributes a factor 1 when x_t != 0 (x'_t is determined), a factor
-q when x_t = 0 and r_t = 0 (x'_t is free), and 0 otherwise.  The weighted
-scan is executed by the compiled kernel when it was built (preferred), or
-by the NumPy fallback; a slow scalar path covers fields too large for
-lookup tables.
+q when x_t = 0 and r_t = 0 (x'_t is free), and 0 otherwise.  `vertex_rule`
+states this rule once; `_countpy.count_block` is its vectorised form, used
+whenever the field has lookup tables, and the scalar scan covers larger
+fields and serves as the reference.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -24,8 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from . import _countpy
 from .coeffs import CoeffMap
@@ -33,12 +32,7 @@ from .errors import BudgetExceeded, UnsupportedType
 from .forests import Forest, dynkin, normal_form_slots
 from .gf import Field, FieldElement
 
-try:
-    from . import _countcore as _ext
-except ImportError:  # extension not built; NumPy fallback takes over
-    _ext = None
-
-EXTENSION_AVAILABLE = _ext is not None
+EXTENSION_AVAILABLE = False  # no compiled kernel exists; perfbench reads this
 DEFAULT_BUDGET = 10**9
 TABLE_MAX_Q = 1024
 _PARALLEL_THRESHOLD = 1 << 18
@@ -67,8 +61,20 @@ class VarietyInstance:
     def n(self) -> int:
         return self.forest.n_vertices
 
+    @cached_property
+    def scan_arrays(self) -> tuple[list[int], list[list[int]]]:
+        """Coefficient encodings and neighbor positions, both in vertex order."""
+        vs = self.forest.vertices
+        index = {v: i for i, v in enumerate(vs)}
+        alpha = [self.coeffs.enc(v) for v in vs]
+        nbrs = [[index[u] for u in self.forest.adjacency[v]] for v in vs]
+        return alpha, nbrs
+
     def descriptor(self) -> str:
-        alphas = ",".join(str(self.coeffs.get(v)) for v in self.forest.vertices)
+        # an extension-field coefficient's digits are joined with ':' as
+        # in --alpha, so the comma only separates vertices
+        alphas = ",".join(str(self.coeffs.get(v)).replace(",", ":")
+                          for v in self.forest.vertices)
         return (f"forest[{self.n}v/{len(self.forest.edges)}e]"
                 f"(alpha=[{alphas}]) over {self.field!r}")
 
@@ -115,43 +121,39 @@ def _check_budget(n: int, q: int, budget: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kernel dispatch
+# the vertex rule and the scans built on it
 # ---------------------------------------------------------------------------
 
-def _prepare_arrays(instance: VarietyInstance):
-    vs = list(instance.forest.vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    alpha = np.array([instance.coeffs.enc(v) for v in vs], dtype=np.int64)
-    nbr_off = [0]
-    nbr = []
-    for v in vs:
-        nbr.extend(index[u] for u in instance.forest.adjacency[v])
-        nbr_off.append(len(nbr))
-    return (alpha,
-            np.array(nbr_off, dtype=np.int64),
-            np.array(nbr, dtype=np.int64))
+def vertex_rule(field: Field, alpha: list[int], nbrs: list[list[int]],
+                xs) -> list[int] | None:
+    """The right-hand sides r_t = 1 + alpha_t * prod over s ~ t of x_s for
+    one x-assignment `xs` (encodings in vertex order), or None when some
+    vertex has x_t = 0 and r_t != 0, so that no point lies over `xs`.
+
+    Otherwise each vertex with x_t != 0 weighs 1 (x'_t = r_t / x_t) and each
+    vertex with x_t = 0 weighs q (r_t = 0, x'_t free): `xs` carries
+    q^(number of zero x_t) points."""
+    mul, add = field.mul_enc, field.add_enc
+    rs = []
+    for t, x in enumerate(xs):
+        r = alpha[t]
+        for j in nbrs[t]:
+            r = mul(r, xs[j])
+        r = add(r, 1)
+        if x == 0 and r != 0:
+            return None
+        rs.append(r)
+    return rs
 
 
-def _fits_tables(field: Field, n: int) -> bool:
-    if field.q > TABLE_MAX_Q:
-        return False
-    # total count is < q^(n + ceil(n/2)); stay far inside uint64/int64
-    return field.q ** (n + (n + 1) // 2) < 2**62
-
-
-def _pick_engine(engine: str, field: Field, n: int) -> str:
+def _pick_engine(engine: str, field: Field) -> str:
     if engine == "auto":
-        if _fits_tables(field, n):
-            return "ext" if EXTENSION_AVAILABLE else "numpy"
-        return "scalar"
-    if engine == "ext" and not EXTENSION_AVAILABLE:
-        raise RuntimeError("compiled kernel not available; build the extension "
-                           "or use engine='numpy'")
-    if engine in ("ext", "numpy") and not _fits_tables(field, n):
-        raise RuntimeError("instance does not fit the table-driven kernels; "
-                           "use engine='scalar'")
-    if engine not in ("ext", "numpy", "scalar"):
+        return "numpy" if field.q <= TABLE_MAX_Q else "scalar"
+    if engine not in ("numpy", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "numpy" and field.q > TABLE_MAX_Q:
+        raise ValueError(f"q = {field.q} is above the lookup-table limit "
+                         f"{TABLE_MAX_Q}; use engine='scalar'")
     return engine
 
 
@@ -159,13 +161,10 @@ def _count_scalar(instance: VarietyInstance, lo: int, hi: int) -> int:
     """Reference scan with per-element field arithmetic; exact for any field."""
     fld = instance.field
     q = fld.q
-    vs = list(instance.forest.vertices)
-    n = len(vs)
+    n = instance.n
     if n == 0:
         return hi - lo
-    index = {v: i for i, v in enumerate(vs)}
-    alpha = [instance.coeffs.enc(v) for v in vs]
-    nbrs = [[index[u] for u in instance.forest.adjacency[v]] for v in vs]
+    alpha, nbrs = instance.scan_arrays
     total = 0
     x = [0] * n
     rem = lo
@@ -173,20 +172,8 @@ def _count_scalar(instance: VarietyInstance, lo: int, hi: int) -> int:
         x[t] = rem % q
         rem //= q
     for _ in range(lo, hi):
-        weight = 1
-        for t in range(n):
-            prod = alpha[t]
-            for j in nbrs[t]:
-                prod = fld.mul_enc(prod, x[j])
-            r = fld.add_enc(prod, 1)
-            if x[t] != 0:
-                continue
-            if r == 0:
-                weight *= q
-            else:
-                weight = 0
-                break
-        total += weight
+        if vertex_rule(fld, alpha, nbrs, x) is not None:
+            total += q ** x.count(0)
         t = n - 1
         while t >= 0:
             x[t] += 1
@@ -200,14 +187,9 @@ def _count_scalar(instance: VarietyInstance, lo: int, hi: int) -> int:
 def _count_range(instance: VarietyInstance, engine: str, lo: int, hi: int) -> int:
     if engine == "scalar":
         return _count_scalar(instance, lo, hi)
-    alpha, nbr_off, nbr = _prepare_arrays(instance)
-    mul = instance.field.mul_table()
-    plus_one = instance.field.plus_one_table()
-    n, q = instance.n, instance.field.q
-    if engine == "ext":
-        return _ext.count_block(n, q, np.ascontiguousarray(mul.ravel()),
-                                plus_one, alpha, nbr_off, nbr, lo, hi)
-    return _countpy.count_block(n, q, mul, plus_one, alpha, nbr_off, nbr, lo, hi)
+    fld = instance.field
+    return _countpy.count_block(fld.q, fld.mul_table(), fld.plus_one_table(),
+                                *instance.scan_arrays, lo, hi)
 
 
 def _worker(args):
@@ -217,11 +199,16 @@ def _worker(args):
 
 def brute_count(instance: VarietyInstance, *, budget: int | None = None,
                 jobs: int = 1, engine: str = "auto") -> CountReport:
-    """Exact number of points, by weighted scan of the qⁿ x-assignments."""
+    """Exact number of points, by weighted scan of the qⁿ x-assignments.
+
+    `engine` is "numpy" (the table-driven kernel, q <= TABLE_MAX_Q),
+    "scalar" (the reference scan) or "auto" (numpy when the field allows).
+    A count above q^(2n), the number of (x, x') pairs, raises
+    ArithmeticError."""
     start = time.perf_counter()
     n, q = instance.n, instance.field.q
     _check_budget(n, q, budget)
-    chosen = _pick_engine(engine, instance.field, n)
+    chosen = _pick_engine(engine, instance.field)
     space = q**n
     if jobs > 1 and space >= _PARALLEL_THRESHOLD:
         bounds = [space * i // jobs for i in range(jobs + 1)]
@@ -232,7 +219,9 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
     else:
         total = _count_range(instance, chosen, 0, space)
     elapsed = (time.perf_counter() - start) * 1000
-    assert total < q ** (2 * n) + 1
+    if total > q ** (2 * n):
+        raise ArithmeticError(f"{chosen} scan of {instance.descriptor()} "
+                              f"counted {total} points, more than q^(2n)")
     return CountReport(instance.descriptor(), q, "brute", total,
                        elapsed_ms=elapsed, engine=chosen)
 
@@ -246,33 +235,24 @@ def brute_points(instance: VarietyInstance, *, budget: int | None = None):
     then encoding order), with free x' slots expanded innermost."""
     fld = instance.field
     q = fld.q
-    vs = list(instance.forest.vertices)
+    vs = instance.forest.vertices
     n = len(vs)
     _check_budget(n, q, budget)
     if n == 0:
         yield PointRecord({}, {})
         return
-    alpha = [instance.coeffs.enc(v) for v in vs]
-    nbrs = [[vs.index(u) for u in instance.forest.adjacency[v]] for v in vs]
+    alpha, nbrs = instance.scan_arrays
     inv = fld.inv_table()
     for xs in itertools.product(range(q), repeat=n):
-        xp = [0] * n
-        free = []
-        ok = True
-        for t in range(n):
-            prod = alpha[t]
-            for j in nbrs[t]:
-                prod = fld.mul_enc(prod, xs[j])
-            r = fld.add_enc(prod, 1)
-            if xs[t] != 0:
-                xp[t] = fld.mul_enc(r, inv[xs[t]])
-            elif r == 0:
-                free.append(t)
-            else:
-                ok = False
-                break
-        if not ok:
+        xp = vertex_rule(fld, alpha, nbrs, xs)
+        if xp is None:
             continue
+        free = []
+        for t, x in enumerate(xs):
+            if x:
+                xp[t] = fld.mul_enc(xp[t], inv[x])
+            else:
+                free.append(t)  # r_t = 0 here, so xp[t] is already 0
         x_elems = {v: FieldElement(fld, xs[i]) for i, v in enumerate(vs)}
         for combo in itertools.product(range(q), repeat=len(free)):
             xp_full = list(xp)
@@ -302,8 +282,7 @@ def normal_form_instance(field: Field, dynkin_type: str, rank: int,
     return VarietyInstance(f, CoeffMap.make(field, values, allow_zero), field)
 
 
-def count_Y(n: int, field: Field, *, budget: int | None = None,
-            engine: str = "auto") -> CountReport:
+def count_Y(n: int, field: Field, *, budget: int | None = None) -> CountReport:
     """Points of the union over invertible leading coefficients of the
     normal-form A_n varieties.  For n = 0 this is the punctured line, q - 1."""
     start = time.perf_counter()
@@ -317,14 +296,13 @@ def count_Y(n: int, field: Field, *, budget: int | None = None,
             values = {v: 1 for v in f.vertices}
             values[1] = a
             inst = VarietyInstance(f, CoeffMap.make(field, values), field)
-            total += brute_count(inst, budget=budget, engine=engine).count
+            total += brute_count(inst, budget=budget).count
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Y_A{n} over {field!r}", q, "brute", total,
                        elapsed_ms=elapsed)
 
 
-def count_Z(n: int, field: Field, *, budget: int | None = None,
-            engine: str = "auto") -> CountReport:
+def count_Z(n: int, field: Field, *, budget: int | None = None) -> CountReport:
     """Points of the union over ALL leading coefficients (zero included)."""
     if n < 1:
         raise ValueError("Z is defined for n >= 1")
@@ -337,7 +315,7 @@ def count_Z(n: int, field: Field, *, budget: int | None = None,
         values[1] = a
         inst = VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
                                field)
-        total += brute_count(inst, budget=budget, engine=engine).count
+        total += brute_count(inst, budget=budget).count
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Z_A{n} over {field!r}", q, "brute", total,
                        elapsed_ms=elapsed)

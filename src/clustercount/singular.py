@@ -19,24 +19,18 @@ from __future__ import annotations
 
 import itertools
 
-from .counting import PointRecord, VarietyInstance, brute_points
+from .counting import PointRecord, VarietyInstance, brute_points, vertex_rule
 from .errors import PointNotOnVariety
 from .gf import Field
 
 
-def _rhs(instance: VarietyInstance, record: PointRecord, t: int) -> int:
-    fld = instance.field
-    prod = instance.coeffs.enc(t)
-    for s in instance.forest.adjacency[t]:
-        prod = fld.mul_enc(prod, record.x[s].code)
-    return fld.add_enc(prod, 1)
-
-
 def verify_point(instance: VarietyInstance, record: PointRecord) -> bool:
     fld = instance.field
-    return all(
-        fld.mul_enc(record.x[t].code, record.xp[t].code) == _rhs(instance, record, t)
-        for t in instance.forest.vertices)
+    vs = instance.forest.vertices
+    rs = vertex_rule(fld, *instance.scan_arrays, [record.x[v].code for v in vs])
+    return rs is not None and all(
+        fld.mul_enc(record.x[v].code, record.xp[v].code) == r
+        for v, r in zip(vs, rs))
 
 
 def jacobian_at(instance: VarietyInstance, record: PointRecord) -> list[list[int]]:

@@ -9,7 +9,6 @@ module.
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -56,15 +55,15 @@ def _battery(name, checks):
     return SuiteResult(name, not failures, checked, elapsed, failures)
 
 
-def _three_way(dynkin_type, rank, field, params, memo, engine):
+def _three_way(dynkin_type, rank, field, params, memo):
     inst = normal_form_instance(field, dynkin_type, rank, params)
-    b = brute_count(inst, engine=engine).count
+    b = brute_count(inst).count
     r = recursive_count(inst, memo).count
     f = formula_count_params(dynkin_type, rank, field, params).count
     return b, r, f
 
 
-def suite_type_a(engine: str = "auto") -> SuiteResult:
+def suite_type_a() -> SuiteResult:
     """A_n, n = 0..8, q in {2,3,4,5,7}, every normal-form parameter:
     brute = recursion = formula, and the odd special case exceeds the
     generic formula by exactly q^((n+1)/2)."""
@@ -77,7 +76,7 @@ def suite_type_a(engine: str = "auto") -> SuiteResult:
                 param_sets = ([()] if n % 2 == 0
                               else [(a,) for a in range(1, q)])
                 for ps in param_sets:
-                    b, r, f = _three_way("A", n, field, ps, memo, engine)
+                    b, r, f = _three_way("A", n, field, ps, memo)
                     yield (f"A{n} q={q} params={ps}: {b}/{r}/{f}",
                            b == r == f)
                     if n % 2 == 1:
@@ -91,7 +90,7 @@ def suite_type_a(engine: str = "auto") -> SuiteResult:
     return _battery("type-A formula battery", checks())
 
 
-def suite_type_d(engine: str = "auto") -> SuiteResult:
+def suite_type_d() -> SuiteResult:
     """D_n, n in {4,5,6}, q in {2,3,4,5} (criterion range plus the F_4
     prime power), all unit parameter tuples; the six formula branches must
     each fire somewhere and always agree."""
@@ -108,7 +107,7 @@ def suite_type_d(engine: str = "auto") -> SuiteResult:
                     psets = [(a, b) for a in range(1, q) for b in range(1, q)]
                 for ps in psets:
                     inst = normal_form_instance(field, "D", n, ps)
-                    b = brute_count(inst, engine=engine).count
+                    b = brute_count(inst).count
                     r = recursive_count(inst, memo).count
                     rep = formula_count_params("D", n, field, ps)
                     seen_branches.add(rep.branch)
@@ -123,7 +122,7 @@ def suite_type_d(engine: str = "auto") -> SuiteResult:
     return _battery("type-D formula battery", checks())
 
 
-def suite_type_e(engine: str = "auto") -> SuiteResult:
+def suite_type_e() -> SuiteResult:
     """E6/E7/E8 at q in {2,3,4,5} (the criterion range plus headroom):
     three-way agreement.  For E6/E8 the free coefficient sits on the
     short-arm leaf and must normalize away; for E7 it is the long-branch
@@ -140,13 +139,13 @@ def suite_type_e(engine: str = "auto") -> SuiteResult:
                     values[2] = a
                     inst = VarietyInstance(f, CoeffMap.make(field, values),
                                            field)
-                    b = brute_count(inst, engine=engine).count
+                    b = brute_count(inst).count
                     r = recursive_count(inst, memo).count
                     fc = formula_count_params("E", rank, field).count
                     yield (f"E{rank} q={q} alpha={a}: {b}/{r}/{fc}",
                            b == r == fc)
             for a in range(1, q):
-                b, r, fc = _three_way("E", 7, field, (a,), memo, engine)
+                b, r, fc = _three_way("E", 7, field, (a,), memo)
                 yield (f"E7 q={q} alpha={a}: {b}/{r}/{fc}", b == r == fc)
 
     return _battery("type-E formula battery", checks())
@@ -157,8 +156,7 @@ def _random_tree(rng: random.Random, n: int) -> Forest:
     return Forest.make(range(1, n + 1), edges)
 
 
-def suite_reduction(engine: str = "auto", cases: int = 500,
-                    seed: int = 20250810) -> SuiteResult:
+def suite_reduction(cases: int = 500, seed: int = 20250810) -> SuiteResult:
     """Randomized trees (<= 7 vertices, q in {2,3,5}): the brute count is
     invariant under a random flip and under full normalization, and the
     normalized map is 1 on every covered vertex."""
@@ -173,28 +171,26 @@ def suite_reduction(engine: str = "auto", cases: int = 500,
             cm = CoeffMap.make(field,
                                {v: rng.randint(1, q - 1) for v in forest.vertices})
             inst = VarietyInstance(forest, cm, field)
-            base = brute_count(inst, engine=engine).count
+            base = brute_count(inst).count
             if forest.edges:
                 u, v = rng.choice(forest.edges)
                 s, t = (u, v) if rng.random() < 0.5 else (v, u)
                 flipped = flip(forest, cm, s, t)
-                nb = brute_count(VarietyInstance(forest, flipped, field),
-                                 engine=engine).count
+                nb = brute_count(VarietyInstance(forest, flipped, field)).count
                 yield (f"case {case}: flip({s},{t}) changed count "
                        f"{base} -> {nb}", nb == base)
             tiling = leafy_tiling(forest)
             norm = normalize(forest, tiling, cm)
             ones = all(norm.coeffs.enc(v) == 1 for v in tiling.covered)
             yield (f"case {case}: covered vertex not normalized to 1", ones)
-            nn = brute_count(VarietyInstance(forest, norm.coeffs, field),
-                             engine=engine).count
+            nn = brute_count(VarietyInstance(forest, norm.coeffs, field)).count
             yield (f"case {case}: normalize changed count {base} -> {nn}",
                    nn == base)
 
     return _battery("reduction soundness battery", checks())
 
 
-def suite_yz(engine: str = "auto") -> SuiteResult:
+def suite_yz() -> SuiteResult:
     """Unions over the leading coefficient for n <= 5, q in {2,3,5}:
     enumerated Y matches (q^(n+2)+(-1)^(n+1))/(q+1), enumerated Z matches
     q^(n+1) and the open-closed decomposition Z(n) = Y(n) + Y(n-1)."""
@@ -204,11 +200,11 @@ def suite_yz(engine: str = "auto") -> SuiteResult:
             field = field_make(q)
             ys = {}
             for n in range(6):
-                ys[n] = count_Y(n, field, engine=engine).count
+                ys[n] = count_Y(n, field).count
                 yield (f"Y_A{n} q={q}: {ys[n]} vs {formula_Y(n, q)}",
                        ys[n] == formula_Y(n, q))
             for n in range(1, 6):
-                z = count_Z(n, field, engine=engine).count
+                z = count_Z(n, field).count
                 yield (f"Z_A{n} q={q}: {z} vs {formula_Z(n, q)}",
                        z == formula_Z(n, q))
                 yield (f"Z_A{n} q={q} decomposition: {z} vs "
@@ -310,7 +306,7 @@ def suite_interpolation() -> SuiteResult:
     return _battery("interpolation battery", checks())
 
 
-def suite_prime_power(engine: str = "auto") -> SuiteResult:
+def suite_prime_power() -> SuiteResult:
     """Counts over F_4 and F_9 equal the closed forms evaluated at q = 4, 9
     (A_n for n <= 4 and D_4), confirming polynomials in q rather than p."""
     memo = {}
@@ -323,13 +319,12 @@ def suite_prime_power(engine: str = "auto") -> SuiteResult:
                 psets = ([()] if n % 2 == 0
                          else [(a,) for a in range(1, q)])
                 for ps in psets:
-                    b, r, f = _three_way("A", n, field, ps, memo, engine)
+                    b, r, f = _three_way("A", n, field, ps, memo)
                     yield (f"A{n} over F_{q} params={ps}: {b}/{r}/{f}",
                            b == r == f)
             for a in range(1, q):
                 for bb in range(1, q):
-                    br, rr, fr = _three_way("D", 4, field, (a, bb), memo,
-                                            engine)
+                    br, rr, fr = _three_way("D", 4, field, (a, bb), memo)
                     yield (f"D4 over F_{q} params=({a},{bb}): "
                            f"{br}/{rr}/{fr}", br == rr == fr)
 
@@ -350,7 +345,7 @@ PAPER_SUITE: dict[str, object] = {
 }
 
 
-def run_suite(name: str, engine: str = "auto") -> list[SuiteResult]:
+def run_suite(name: str) -> list[SuiteResult]:
     """Run one battery by name, or all of them with name = "paper"."""
     if name == "paper":
         names = list(PAPER_SUITE)
@@ -359,9 +354,4 @@ def run_suite(name: str, engine: str = "auto") -> list[SuiteResult]:
     else:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from paper, {', '.join(PAPER_SUITE)}")
-    out = []
-    for nm in names:
-        fn = PAPER_SUITE[nm]
-        params = inspect.signature(fn).parameters
-        out.append(fn(engine=engine) if "engine" in params else fn())
-    return out
+    return [PAPER_SUITE[nm]() for nm in names]

@@ -51,6 +51,18 @@ def random_tree(rng: random.Random, n: int, base: int = 1) -> Forest:
     return Forest.make(verts, edges)
 
 
+def spider(legs) -> Forest:
+    """Paths of the given lengths joined at vertex 1; all legs of length 1
+    give the star K_{1,m}."""
+    edges, nxt = [], 2
+    for length in legs:
+        prev = 1
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Forest.make(range(1, nxt), edges)
+
+
 def random_coeffs(rng: random.Random, field, forest) -> CoeffMap:
     return CoeffMap.make(
         field, {v: rng.randint(1, field.q - 1) for v in forest.vertices})

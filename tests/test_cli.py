@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from clustercount import _countpy
 from clustercount.cli import main
 
 
@@ -85,6 +86,17 @@ class TestCount:
                                "brute")
         assert code == 3
         assert "budget" in err
+
+    def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
+        # a kernel that claims more points than the q^(2n) pairs (x, x')
+        monkeypatch.setattr(_countpy, "count_block",
+                            lambda q, mul, plus_one, alpha, *rest:
+                            q ** (2 * len(alpha)) + 1)
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                                 "--q", "3", "--method", "brute")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestOtherCommands:

@@ -6,10 +6,13 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           brute_points, check_z_fibration, count_Y, count_Z,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
-from clustercount.counting import EXTENSION_AVAILABLE, estimate_ops
+from clustercount import _countpy
+from clustercount.counting import estimate_ops
 from clustercount.errors import BudgetExceeded
+from clustercount.recursion import recursive_count
 
-from helpers import naive_count, random_coeffs, random_tree, record_satisfies
+from helpers import (naive_count, random_coeffs, random_tree,
+                     record_satisfies, spider)
 
 
 def _instance(dynkin_type, rank, field, values=None):
@@ -42,16 +45,47 @@ class TestBruteCount:
 
     def test_engines_agree(self):
         rng = random.Random(4)
-        fast = ["numpy"] + (["ext"] if EXTENSION_AVAILABLE else [])
+        insts = []
         for _ in range(25):
             n = rng.randint(1, 6)
             q = rng.choice((2, 3, 4, 5, 7, 9))
             F = field_from_order(q)
             f = random_tree(rng, n)
-            inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
-            engines = fast + (["scalar"] if q**n <= 4000 else [])
+            insts.append(VarietyInstance(f, random_coeffs(rng, F, f), F))
+        # stars and spiders: many leaves vanish at once, so counts run high
+        for legs in ((1,) * 3, (1,) * 7, (2, 2, 2), (1, 2, 3), (3, 3, 1, 1)):
+            f = spider(legs)
+            for q in (2, 3, 4):
+                F = field_from_order(q)
+                insts.append(VarietyInstance(f, CoeffMap.ones(F, f), F))
+                insts.append(VarietyInstance(f, random_coeffs(rng, F, f), F))
+        for inst in insts:
+            engines = ["numpy"] + (["scalar"] if inst.field.q ** inst.n <= 4000
+                                   else [])
             counts = {e: brute_count(inst, engine=e).count for e in engines}
+            counts["recursion"] = recursive_count(inst).count
             assert len(set(counts.values())) == 1, counts
+
+    def test_kernel_exact_beyond_int64(self):
+        # K_{1,60} over F_2, center first: on this range the center is 1 and
+        # the last 15 leaves read i, each zero leaf weighing 2
+        F = field_make(2)
+        f = spider((1,) * 60)
+        alpha, nbrs = VarietyInstance(f, CoeffMap.ones(F, f), F).scan_arrays
+        got = _countpy.count_block(2, F.mul_table(), F.plus_one_table(),
+                                   alpha, nbrs, 2**60, 2**60 + 2**15)
+        assert got == sum(2 ** (60 - bin(i).count("1")) for i in range(2**15))
+        assert got == 504857282956046106624 > 2**63
+        with pytest.raises(OverflowError):  # indices past int64 would wrap
+            _countpy.count_block(2, F.mul_table(), F.plus_one_table(),
+                                 alpha, nbrs, 2**63 - 1, 2**63 + 1)
+
+    def test_count_above_pair_bound_raises(self, monkeypatch):
+        inst = _instance("A", 3, field_make(3))
+        monkeypatch.setattr(_countpy, "count_block",
+                            lambda q, *args: q ** (2 * inst.n) + 1)
+        with pytest.raises(ArithmeticError):
+            brute_count(inst)
 
     def test_parallel_equals_serial(self):
         from clustercount import counting
@@ -94,6 +128,15 @@ class TestBruteCount:
             gm = CoeffMap(F, {mapping[v]: cm.enc(v) for v in f.vertices})
             assert (brute_count(VarietyInstance(f, cm, F)).count
                     == brute_count(VarietyInstance(g, gm, F)).count)
+
+    def test_descriptor_extension_field(self):
+        F = field_make(2, 2)
+        one_vertex = _instance("A", 1, F, {1: (1, 1)})
+        two_vertices = _instance("A", 2, F, {1: 1, 2: 1})
+        assert "alpha=[1:1]" in one_vertex.descriptor()
+        assert "alpha=[1:0,1:0]" in two_vertices.descriptor()
+        assert "alpha=[2,3]" in _instance("A", 2, field_make(5),
+                                          {1: 2, 2: 3}).descriptor()
 
     def test_budget_enforced(self):
         inst = _instance("A", 8, field_make(7))

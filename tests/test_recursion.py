@@ -9,7 +9,7 @@ from clustercount import (CoeffMap, VarietyInstance, brute_count,
 from clustercount.errors import ZeroCoefficient
 from clustercount.recursion import (leaf_split_counts, recursive_count)
 
-from helpers import random_coeffs, random_tree
+from helpers import random_coeffs, random_tree, spider
 
 
 def test_a2_all_ones_q3():
@@ -25,6 +25,13 @@ def test_a1_special_q7():
 def test_d4_generic_q5():
     inst = normal_form_instance(field_make(5), "D", 4, (2, 3))
     assert recursive_count(inst).count == 576
+
+
+def test_star_k1_39_q2():
+    # 4.05e18: above q^(n + ceil(n/2)) = 2^60, so no such bound holds
+    f = spider((1,) * 39)
+    inst = VarietyInstance(f, CoeffMap.ones(field_make(2), f), field_make(2))
+    assert recursive_count(inst).count == 3**39 + 2
 
 
 def test_empty_forest():
