@@ -8,9 +8,12 @@ vertex t:
 Enumeration runs over x-assignments only: with r_t the right-hand side, a
 vertex contributes a factor 1 when x_t != 0 (x'_t is determined), a factor
 q when x_t = 0 and r_t = 0 (x'_t is free), and 0 otherwise.  `vertex_rule`
-states this rule once; `_countpy.count_block` is its vectorised form, used
+states this rule once; `_countpy._rhs` is its vectorised form, used
 whenever the field has lookup tables, and the scalar scan covers larger
-fields and serves as the reference.
+fields and serves as the reference.  Counting goes through
+`_countpy.count_block`; point listing (`brute_points`) takes the live
+assignments and their determined x' from `_countpy.live_blocks`, both built
+on that one `_rhs`, and expands the free x' slots itself.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -79,17 +82,58 @@ class VarietyInstance:
                 f"(alpha=[{alphas}]) over {self.field!r}")
 
 
-@dataclass(frozen=True)
 class PointRecord:
-    """One solution: the x and x' values per vertex."""
+    """One solution: the x and x' encodings per vertex, as the tuples `xs`
+    and `xps` in the order of `vertices`.  `x` and `xp` give the same values
+    as {vertex: FieldElement}, built on first use.
 
-    x: dict[int, FieldElement]
-    xp: dict[int, FieldElement]
+    `PointRecord(x, xp)` takes those two dicts; the listing builds records
+    from encodings with `from_codes`."""
+
+    __slots__ = ("vertices", "field", "xs", "xps", "_x", "_xp")
+
+    def __init__(self, x: dict[int, FieldElement], xp: dict[int, FieldElement]):
+        vs = tuple(sorted(x))
+        self.vertices = vs
+        self.field = x[vs[0]].field if vs else None
+        self.xs = tuple(x[v].code for v in vs)
+        self.xps = tuple(xp[v].code for v in vs)
+        self._x, self._xp = x, xp
+
+    @classmethod
+    def from_codes(cls, vertices: tuple[int, ...], field: Field,
+                   xs: tuple[int, ...], xps: tuple[int, ...]) -> "PointRecord":
+        rec = cls.__new__(cls)
+        rec.vertices, rec.field, rec.xs, rec.xps = vertices, field, xs, xps
+        rec._x = rec._xp = None
+        return rec
+
+    @property
+    def x(self) -> dict[int, FieldElement]:
+        if self._x is None:
+            self._x = {v: FieldElement(self.field, c)
+                       for v, c in zip(self.vertices, self.xs)}
+        return self._x
+
+    @property
+    def xp(self) -> dict[int, FieldElement]:
+        if self._xp is None:
+            self._xp = {v: FieldElement(self.field, c)
+                        for v, c in zip(self.vertices, self.xps)}
+        return self._xp
 
     def key(self) -> tuple:
-        vs = sorted(self.x)
-        return (tuple(self.x[v].code for v in vs),
-                tuple(self.xp[v].code for v in vs))
+        return self.xs, self.xps
+
+    def __eq__(self, other):
+        if not isinstance(other, PointRecord):
+            return NotImplemented
+        return (self.vertices, self.field, self.xs, self.xps) == \
+            (other.vertices, other.field, other.xs, other.xps)
+
+    def __repr__(self):
+        return (f"PointRecord(vertices={self.vertices}, xs={self.xs}, "
+                f"xps={self.xps}, field={self.field!r})")
 
 
 @dataclass(frozen=True)
@@ -232,7 +276,11 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
 
 def brute_points(instance: VarietyInstance, *, budget: int | None = None):
     """Yield every point, lexicographically in the x-assignment (vertex order,
-    then encoding order), with free x' slots expanded innermost."""
+    then encoding order), with free x' slots expanded innermost.
+
+    With lookup tables (q <= TABLE_MAX_Q) the live assignments and their
+    determined x' come from `_countpy.live_blocks`; larger fields take the
+    scalar `vertex_rule` per assignment."""
     fld = instance.field
     q = fld.q
     vs = instance.forest.vertices
@@ -243,24 +291,33 @@ def brute_points(instance: VarietyInstance, *, budget: int | None = None):
         return
     alpha, nbrs = instance.scan_arrays
     inv = fld.inv_table()
-    for xs in itertools.product(range(q), repeat=n):
-        xp = vertex_rule(fld, alpha, nbrs, xs)
-        if xp is None:
+    if q <= TABLE_MAX_Q:
+        blocks = _countpy.live_blocks(q, fld.mul_table(), fld.plus_one_table(),
+                                      inv, alpha, nbrs, 0, q**n)
+        live = ((tuple(xs), xps) for x, xp in blocks
+                for xs, xps in zip(x.T.tolist(), xp.T.tolist()))
+    else:
+        live = _live_scalar(fld, alpha, nbrs, inv, n)
+    make = PointRecord.from_codes
+    for xs, xps in live:
+        if 0 not in xs:
+            yield make(vs, fld, xs, tuple(xps))
             continue
-        free = []
-        for t, x in enumerate(xs):
-            if x:
-                xp[t] = fld.mul_enc(xp[t], inv[x])
-            else:
-                free.append(t)  # r_t = 0 here, so xp[t] is already 0
-        x_elems = {v: FieldElement(fld, xs[i]) for i, v in enumerate(vs)}
+        free = [t for t, x in enumerate(xs) if x == 0]
         for combo in itertools.product(range(q), repeat=len(free)):
-            xp_full = list(xp)
             for slot, val in zip(free, combo):
-                xp_full[slot] = val
-            yield PointRecord(x_elems,
-                              {v: FieldElement(fld, xp_full[i])
-                               for i, v in enumerate(vs)})
+                xps[slot] = val
+            yield make(vs, fld, xs, tuple(xps))
+
+
+def _live_scalar(fld: Field, alpha, nbrs, inv, n):
+    """The live x-assignments in index order with their determined x' (0 at
+    the free slots), by `vertex_rule`: the reference for `live_blocks`."""
+    mul = fld.mul_enc
+    for xs in itertools.product(range(fld.q), repeat=n):
+        rs = vertex_rule(fld, alpha, nbrs, xs)
+        if rs is not None:
+            yield xs, [mul(r, inv[x]) for r, x in zip(rs, xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +405,7 @@ def _z_points(n: int, field: Field, budget):
         inst = VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
                                field)
         for rec in brute_points(inst, budget=budget):
-            out.add((a,
-                     tuple(rec.x[v].code for v in vs),
-                     tuple(rec.xp[v].code for v in vs)))
+            out.add((a, rec.xs, rec.xps))
     return out
 
 

@@ -10,9 +10,11 @@ with the coefficient transforms from `coeffs.leaf_removal_transforms`.  The
 base cases are the empty forest (one point) and a single vertex, where
 x x' = 1 + alpha has q - 1 points, or 2q - 1 when alpha = -1.
 
-Naively the beta sum has q - 1 branches, but normalizing each child and
-keying the memo table on its canonical form collapses them to the handful
-of genuinely distinct classes, so the recursion is fast even for large q.
+The beta sum has q - 1 branches.  Each child is normalized and the memo
+table is keyed on its canonical form, so children that normalize alike
+share one entry; but the distinct classes still number about one per beta,
+so the memo grows linearly in q (with every normal-form parameter 2: q + 1
+entries for A4, q + 2 for D5, 3q + 1 for E8) and the time about as q^2.
 """
 
 from __future__ import annotations

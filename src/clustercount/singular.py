@@ -13,6 +13,11 @@ smooth (choose the x'-column where x_t != 0 and the x-column elsewhere:
 the vanishing x-vertices form an independent set, so the chosen minor is
 triangular with invertible diagonal).  The scan uses that as a prefilter,
 which `prefilter=False` disables for cross-checking.
+
+The search runs on integer encodings end to end: it reads each listed
+point's `xs` and `xps` tuples, and a `PointRecord` builds its
+`FieldElement` dicts only when a caller reads `x` or `xp`.  `rank` reduces
+to echelon form only (rows below each pivot), which is all the rank needs.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from .gf import Field
 
 
 def verify_point(instance: VarietyInstance, record: PointRecord) -> bool:
+    if record.vertices != instance.forest.vertices:
+        return False
     fld = instance.field
-    vs = instance.forest.vertices
-    rs = vertex_rule(fld, *instance.scan_arrays, [record.x[v].code for v in vs])
+    rs = vertex_rule(fld, *instance.scan_arrays, record.xs)
     return rs is not None and all(
-        fld.mul_enc(record.x[v].code, record.xp[v].code) == r
-        for v, r in zip(vs, rs))
+        fld.mul_enc(x, xp) == r for x, xp, r in zip(record.xs, record.xps, rs))
 
 
 def jacobian_at(instance: VarietyInstance, record: PointRecord) -> list[list[int]]:
@@ -39,64 +44,65 @@ def jacobian_at(instance: VarietyInstance, record: PointRecord) -> list[list[int
     if not verify_point(instance, record):
         raise PointNotOnVariety("record violates a defining equation")
     fld = instance.field
-    vs = list(instance.forest.vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
+    mul = fld.mul_enc
+    alpha, nbrs = instance.scan_arrays
+    xs, xps = record.xs, record.xps
+    n = len(xs)
     rows = []
-    for t in vs:
+    for t in range(n):
         row = [0] * (2 * n)
-        row[index[t]] = record.xp[t].code
-        row[n + index[t]] = record.x[t].code
-        for u in instance.forest.adjacency[t]:
-            prod = fld.neg_enc(instance.coeffs.enc(t))
-            for s in instance.forest.adjacency[t]:
+        row[t] = xps[t]
+        row[n + t] = xs[t]
+        minus_alpha = fld.neg_enc(alpha[t])
+        for u in nbrs[t]:
+            prod = minus_alpha
+            for s in nbrs[t]:
                 if s != u:
-                    prod = fld.mul_enc(prod, record.x[s].code)
-            row[index[u]] = prod
+                    prod = mul(prod, xs[s])
+            row[u] = prod
         rows.append(row)
     return rows
 
 
 def rank(matrix: list[list[int]], field: Field) -> int:
-    """Row rank by Gaussian elimination over the field (encodings in, exact)."""
-    if not matrix:
-        return 0
+    """Row rank by Gaussian elimination over the field (encodings in, exact).
+    Only the rows below each pivot are cleared: the echelon form's pivot
+    count is the rank."""
     rows = [list(r) for r in matrix]
-    m, ncols = len(rows), len(rows[0])
+    m, ncols = len(rows), len(rows[0]) if rows else 0
+    r = 0
     if field.k == 1:
         p = field.p
-        r = 0
         for c in range(ncols):
+            if r == m:
+                break
             pivot = next((i for i in range(r, m) if rows[i][c] % p), None)
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+            top = rows[r][c:]
+            inv = pow(top[0], -1, p)
+            for row in rows[r + 1:]:
+                f = row[c] * inv % p
+                if f:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], top)]
             r += 1
-            if r == m:
-                break
         return r
-    r = 0
+    mul, sub = field.mul_enc, field.sub_enc
     for c in range(ncols):
+        if r == m:
+            break
         pivot = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv_enc(rows[r][c])
-        rows[r] = [field.mul_enc(v, inv) for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub_enc(a, field.mul_enc(f, b))
-                           for a, b in zip(rows[i], rows[r])]
+        top = rows[r][c:]
+        inv = field.inv_enc(top[0])
+        for row in rows[r + 1:]:
+            if row[c]:
+                f = mul(row[c], inv)
+                row[c:] = [sub(a, mul(f, b)) for a, b in zip(row[c:], top)]
         r += 1
-        if r == m:
-            break
     return r
 
 
@@ -133,8 +139,9 @@ def all_minors_vanish(matrix: list[list[int]], field: Field, size: int) -> bool:
 
 
 def _could_be_singular(record: PointRecord) -> bool:
-    return any(record.x[v].code == 0 and record.xp[v].code == 0
-               for v in record.x)
+    xs = record.xs
+    return 0 in xs and any(x == 0 and xp == 0
+                           for x, xp in zip(xs, record.xps))
 
 
 def singular_points(instance: VarietyInstance, *, budget: int | None = None,

@@ -64,7 +64,7 @@ def test_criterion_07_smoothness_classification():
     # n <= 6, q in {2,3,5,7}, all unit leading coefficients: singular
     # counts match the parity/special-value classification, odd
     # coordinates vanish at the unique singular point
-    _run("smoothness")
+    _run("smoothness", time_limit=60)
 
 
 def test_criterion_08_cohomology_consistency():

@@ -6,8 +6,8 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           brute_points, check_z_fibration, count_Y, count_Z,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
-from clustercount import _countpy
-from clustercount.counting import estimate_ops
+from clustercount import _countpy, counting
+from clustercount.counting import PointRecord, estimate_ops
 from clustercount.errors import BudgetExceeded
 from clustercount.recursion import recursive_count
 
@@ -88,7 +88,6 @@ class TestBruteCount:
             brute_count(inst)
 
     def test_parallel_equals_serial(self):
-        from clustercount import counting
         F = field_make(5)
         inst = normal_form_instance(F, "A", 8)  # 5^8 is over the split threshold
         assert F.q ** 8 >= counting._PARALLEL_THRESHOLD
@@ -182,6 +181,40 @@ class TestBrutePoints:
             assert len(pts) == brute_count(inst).count
             keys = [p.key() for p in pts]
             assert len(set(keys)) == len(keys)
+
+    def test_scalar_listing_above_table_limit(self):
+        F = field_make(1031)
+        assert F.q > counting.TABLE_MAX_Q
+        for alpha, expect in ((-1, 2 * F.q - 1), (1, F.q - 1)):
+            inst = _instance("A", 1, F, {1: alpha})
+            pts = list(brute_points(inst))
+            assert len(pts) == expect
+            keys = [p.key() for p in pts]
+            assert keys == sorted(keys)
+            assert all(record_satisfies(inst, p) for p in pts)
+
+    def test_table_listing_matches_scalar(self, monkeypatch):
+        # same records in the same order from live_blocks and vertex_rule,
+        # zero coefficients included
+        rng = random.Random(41)
+        cases = []
+        for _ in range(40):
+            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+            f = random_tree(rng, rng.randint(1, 4 if F.q <= 5 else 3))
+            cm = CoeffMap.make(F, {v: rng.randrange(F.q) for v in f.vertices},
+                               allow_zero=True)
+            cases.append(VarietyInstance(f, cm, F))
+        table = [[p.key() for p in brute_points(inst)] for inst in cases]
+        monkeypatch.setattr(counting, "TABLE_MAX_Q", 1)
+        scalar = [[p.key() for p in brute_points(inst)] for inst in cases]
+        assert table == scalar
+
+    def test_records_from_codes_match_dict_records(self):
+        inst = _instance("D", 4, field_from_order(4))
+        for rec in brute_points(inst):
+            assert rec.key() == (rec.xs, rec.xps)
+            assert set(rec.x) == set(rec.xp) == set(inst.forest.vertices)
+            assert PointRecord(rec.x, rec.xp) == rec
 
     def test_deterministic_order(self):
         inst = _instance("A", 2, field_make(3))

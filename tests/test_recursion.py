@@ -7,6 +7,7 @@ from clustercount import (CoeffMap, VarietyInstance, brute_count,
                           brute_points, dynkin, field_from_order, field_make,
                           normal_form_instance)
 from clustercount.errors import ZeroCoefficient
+from clustercount.forests import normal_form_slots
 from clustercount.recursion import (leaf_split_counts, recursive_count)
 
 from helpers import random_coeffs, random_tree, spider
@@ -112,12 +113,22 @@ def test_zero_coefficient_rejected():
 
 
 def test_memo_collapses_beta_branches():
-    # large q: the beta sum has q - 1 = 30 branches per removal, but the
-    # memo should stay tiny because they normalize to few classes
+    # large q: the beta sum has q - 1 = 30 branches per removal; normalized
+    # keys merge them only to about one class per beta, q + 2 entries here
     F = field_make(31)
     inst = normal_form_instance(F, "A", 5, (3,))
     memo = {}
     n = recursive_count(inst, memo).count
     generic = (31**3 - 1) * (31**4 - 1) // (31**2 - 1)
     assert n == generic
-    assert len(memo) < 40
+    assert len(memo) == 33
+
+
+@pytest.mark.parametrize("q", (13, 29))
+def test_memo_grows_linearly_in_q(q):
+    F = field_make(q)
+    for t, rank, size in (("A", 4, q + 1), ("D", 5, q + 2), ("E", 8, 3 * q + 1)):
+        params = (2,) * len(normal_form_slots(t, rank))
+        memo = {}
+        recursive_count(normal_form_instance(F, t, rank, params), memo)
+        assert len(memo) == size, (t, rank)

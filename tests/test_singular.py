@@ -3,7 +3,7 @@ import random
 import pytest
 
 from clustercount import (CoeffMap, VarietyInstance, brute_points, dynkin,
-                          field_make, normal_form_instance)
+                          field_from_order, field_make, normal_form_instance)
 from clustercount.counting import PointRecord
 from clustercount.errors import PointNotOnVariety
 from clustercount.gf import FieldElement
@@ -59,6 +59,8 @@ class TestJacobian:
         inst = normal_form_instance(F3, "A", 1, (1,))
         with pytest.raises(PointNotOnVariety):
             jacobian_at(inst, _record(F3, {1: 0}, {1: 0}))
+        with pytest.raises(PointNotOnVariety):  # a point of another forest
+            jacobian_at(inst, _record(F3, {2: 1}, {2: 2}))
 
 
 class TestRank:
@@ -86,6 +88,23 @@ class TestRank:
         # rows (1, x) and (x, x^2): second is x * first -> rank 1
         x2 = F4.mul_enc(x, x)
         assert rank([[1, x], [x, x2]], F4) == 1
+
+    def test_matches_minor_enumeration_extension_fields(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            F = field_from_order(rng.choice((4, 8, 9)))
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 5)
+            m = [[rng.randrange(F.q) for _ in range(cols)] for _ in range(rows)]
+            if rows >= 3 and rng.random() < 0.5:  # force a dependent row
+                a, b = rng.randrange(F.q), rng.randrange(F.q)
+                m[-1] = [F.add_enc(F.mul_enc(a, u), F.mul_enc(b, v))
+                         for u, v in zip(m[0], m[1])]
+            r = rank(m, F)
+            if r > 0:
+                assert not all_minors_vanish(m, F, r)
+            if r < min(rows, cols):
+                assert all_minors_vanish(m, F, r + 1)
 
     def test_matches_minor_enumeration(self):
         rng = random.Random(19)
