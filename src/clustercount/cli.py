@@ -5,7 +5,8 @@ diagnostics go to stderr.  Counts are serialized as decimal strings so
 arbitrary-precision values survive any JSON consumer.
 
 Exit codes: 0 success, 1 mathematical disagreement, failed check or
-arithmetic error (a count or a fit that cannot be right), 2 usage error,
+arithmetic error (a count or a fit that cannot be right), 2 usage error
+(conflicting flags and a non-integer CLUSTERCOUNT_BUDGET included),
 3 enumeration budget exceeded.
 """
 
@@ -17,10 +18,10 @@ import os
 import sys
 
 from .coeffs import CoeffMap, normalize, read_coeff_file
-from .counting import VarietyInstance, brute_count, default_budget
+from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
+                       normal_form_instance)
 from .errors import BudgetExceeded, ClusterCountError, HeldOutMismatch
-from .forests import (dynkin, dynkin_tiling, leafy_tiling, normal_form_slots,
-                      read_tree_file)
+from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
 from .gf import field_from_order
 from .qpoly import FamilyPolicy, fit_and_verify
@@ -55,55 +56,36 @@ def _parse_alpha_items(spec: str) -> list:
 
 def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | None]:
     """Returns (instance, dynkin type or None, rank or None)."""
-    if args.tree_file and args.type:
+    if args.tree_file is not None and args.type:
         raise UsageError("give either --type/--rank or --tree-file, not both")
+    if args.tree_file is not None and args.rank is not None:
+        raise UsageError("--rank goes with --type, not with --tree-file")
+    if args.alpha is not None and args.coeff_file is not None:
+        raise UsageError("give either --alpha or --coeff-file, not both")
+    t = rank = None
     if args.tree_file:
         forest = read_tree_file(args.tree_file)
-        if args.coeff_file:
-            cm = read_coeff_file(args.coeff_file, field, forest)
-        elif args.alpha:
-            items = _parse_alpha_items(args.alpha)
-            if len(items) != forest.n_vertices:
-                raise UsageError(
-                    f"--alpha needs {forest.n_vertices} values for this tree")
-            cm = CoeffMap.make(field,
-                               dict(zip(sorted(forest.vertices), items)))
-        else:
-            cm = CoeffMap.ones(field, forest)
-        return VarietyInstance(forest, cm, field), None, None
-    if not args.type:
+    elif not args.type:
         raise UsageError("give a variety: --type/--rank or --tree-file")
-    if args.rank is None:
+    elif args.rank is None:
         raise UsageError("--type requires --rank")
-    t, rank = args.type.upper(), args.rank
-    forest = dynkin(t, rank)
-    slots = normal_form_slots(t, rank)
+    else:
+        t, rank = args.type.upper(), args.rank
+        forest = dynkin(t, rank)
     if args.coeff_file:
         cm = read_coeff_file(args.coeff_file, field, forest)
     elif args.alpha:
         items = _parse_alpha_items(args.alpha)
         if len(items) == forest.n_vertices:
-            cm = CoeffMap.make(field,
-                               dict(zip(sorted(forest.vertices), items)))
-        elif len(items) == len(slots):
-            values: dict[int, object] = {v: 1 for v in forest.vertices}
-            for slot, val in zip(slots, items):
-                values[slot] = val
-            cm = CoeffMap.make(field, values)
-        else:
+            cm = CoeffMap.make(field, dict(zip(forest.vertices, items)))
+        elif t is None:
             raise UsageError(
-                f"--alpha needs {forest.n_vertices} values (full map) or "
-                f"{len(slots)} (normal-form parameters) for {t}_{rank}")
+                f"--alpha needs {forest.n_vertices} values for this tree")
+        else:
+            cm = normal_form_instance(field, t, rank, tuple(items)).coeffs
     else:
         cm = CoeffMap.ones(field, forest)
     return VarietyInstance(forest, cm, field), t, rank
-
-
-def _normalized_params(instance, t, rank):
-    """Normalize a Dynkin instance with its canonical tiling; returns the
-    normal form and the residual coefficient map."""
-    tiling = dynkin_tiling(t, rank)
-    return normalize(instance.forest, tiling, instance.coeffs)
 
 
 def _method_report(report) -> dict:
@@ -116,6 +98,8 @@ def _method_report(report) -> dict:
 
 
 def cmd_count(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     field = field_from_order(args.q)
     instance, t, rank = _build_instance(args, field)
     methods = (["brute", "recursion", "formula"] if args.method == "all"
@@ -133,7 +117,8 @@ def cmd_count(args) -> int:
         elif m == "recursion":
             results[m] = recursive_count(instance)
         else:
-            norm = _normalized_params(instance, t, rank)
+            norm = normalize(instance.forest, dynkin_tiling(t, rank),
+                             instance.coeffs)
             results[m] = formula_count(t, rank, norm.coeffs, field)
     counts = {m: r.count for m, r in results.items()}
     agree = len(set(counts.values())) == 1
@@ -234,14 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "q a raw encoding, otherwise mod p), vectors as "
                             "colon-separated digits; either one value per "
                             "vertex or just the normal-form parameters; "
-                            "default all ones")
+                            "default all ones; excludes --coeff-file")
         p.add_argument("--coeff-file", help="coefficient file: 'v value' "
-                                            "per line, default 1")
+                                            "per line, default 1; excludes "
+                                            "--alpha")
         p.add_argument("--q", type=int, required=True,
                        help="field order (prime power)")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget in elementary steps "
-                            f"(default {default_budget()}, or "
+                            f"(default {DEFAULT_BUDGET}, or "
                             "CLUSTERCOUNT_BUDGET)")
 
     p_count = sub.add_parser("count", help="count points")

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from . import _countpy
 from .coeffs import CoeffMap
-from .errors import BudgetExceeded, UnsupportedType
+from .errors import BadBudget, BudgetExceeded, UnsupportedType
 from .forests import Forest, dynkin, normal_form_slots
 from .gf import Field, FieldElement
 
@@ -43,7 +43,13 @@ _PARALLEL_THRESHOLD = 1 << 18
 
 def default_budget() -> int:
     env = os.environ.get("CLUSTERCOUNT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise BadBudget(
+            f"CLUSTERCOUNT_BUDGET must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -333,10 +339,16 @@ def normal_form_instance(field: Field, dynkin_type: str, rank: int,
         raise UnsupportedType(
             f"{dynkin_type}_{rank} normal form takes {len(slots)} parameter(s), "
             f"got {len(params)}")
-    values: dict[int, object] = {v: 1 for v in f.vertices}
-    for slot, val in zip(slots, params):
-        values[slot] = val
+    values = {v: 1 for v in f.vertices} | dict(zip(slots, params))
     return VarietyInstance(f, CoeffMap.make(field, values, allow_zero), field)
+
+
+def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:
+    """A_n with the coefficient a (zero allowed) on vertex 1 and 1 elsewhere."""
+    f = dynkin("A", n)
+    values = {v: 1 for v in f.vertices} | {1: a}
+    return VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
+                           field)
 
 
 def count_Y(n: int, field: Field, *, budget: int | None = None) -> CountReport:
@@ -347,13 +359,8 @@ def count_Y(n: int, field: Field, *, budget: int | None = None) -> CountReport:
     if n == 0:
         total = q - 1
     else:
-        f = dynkin("A", n)
-        total = 0
-        for a in range(1, q):
-            values = {v: 1 for v in f.vertices}
-            values[1] = a
-            inst = VarietyInstance(f, CoeffMap.make(field, values), field)
-            total += brute_count(inst, budget=budget).count
+        total = sum(brute_count(_a_union_member(field, n, a),
+                                budget=budget).count for a in range(1, q))
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Y_A{n} over {field!r}", q, "brute", total,
                        elapsed_ms=elapsed)
@@ -365,14 +372,8 @@ def count_Z(n: int, field: Field, *, budget: int | None = None) -> CountReport:
         raise ValueError("Z is defined for n >= 1")
     start = time.perf_counter()
     q = field.q
-    total = 0
-    for a in range(q):
-        f = dynkin("A", n)
-        values = {v: 1 for v in f.vertices}
-        values[1] = a
-        inst = VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
-                               field)
-        total += brute_count(inst, budget=budget).count
+    total = sum(brute_count(_a_union_member(field, n, a), budget=budget).count
+                for a in range(q))
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Z_A{n} over {field!r}", q, "brute", total,
                        elapsed_ms=elapsed)
@@ -396,15 +397,9 @@ class FibrationReport:
 
 def _z_points(n: int, field: Field, budget):
     """Points of Z_A(n) as tuples (alpha, x tuple, x' tuple), encodings."""
-    f = dynkin("A", n)
-    vs = list(f.vertices)
     out = set()
     for a in range(field.q):
-        values = {v: 1 for v in vs}
-        values[1] = a
-        inst = VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
-                               field)
-        for rec in brute_points(inst, budget=budget):
+        for rec in brute_points(_a_union_member(field, n, a), budget=budget):
             out.add((a, rec.xs, rec.xps))
     return out
 

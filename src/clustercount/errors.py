@@ -41,6 +41,10 @@ class NotALeaf(ClusterCountError):
     """Leaf removal requested at a vertex of degree != 1."""
 
 
+class BadBudget(ClusterCountError):
+    """The CLUSTERCOUNT_BUDGET environment variable is not an integer."""
+
+
 class BudgetExceeded(ClusterCountError):
     """Estimated enumeration cost exceeds the configured budget."""
 

@@ -160,35 +160,40 @@ class DominoTiling:
 # Dynkin constructors
 # ---------------------------------------------------------------------------
 
+_RANKS = {
+    "A": (lambda rank: rank >= 0, "rank >= 0"),
+    "D": (lambda rank: rank >= 3, "rank >= 3"),
+    "E": (lambda rank: rank in (6, 7, 8), "rank in {6,7,8}"),
+}
+
+
+def check_rank(dynkin_type: str, rank: int) -> str:
+    """The upper-cased type, once `rank` is valid for it; BadRank otherwise."""
+    t = dynkin_type.upper()
+    if t not in _RANKS:
+        raise BadRank(f"unknown Dynkin type {dynkin_type!r}")
+    valid, need = _RANKS[t]
+    if not valid(rank):
+        raise BadRank(f"{t}_n needs {need}, got {rank}")
+    return t
+
+
 def dynkin(dynkin_type: str, rank: int) -> Forest:
     """The tree underlying the Dynkin diagram A_n / D_n / E_n."""
-    t = dynkin_type.upper()
+    t = check_rank(dynkin_type, rank)
     if t == "A":
-        if rank < 0:
-            raise BadRank(f"A_n needs rank >= 0, got {rank}")
-        return Forest.make(range(1, rank + 1),
-                           [(i, i + 1) for i in range(1, rank)])
-    if t == "D":
-        if rank < 3:
-            raise BadRank(f"D_n needs rank >= 3, got {rank}")
+        edges = [(i, i + 1) for i in range(1, rank)]
+    elif t == "D":
         edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, rank)]
-        return Forest.make(range(1, rank + 1), edges)
-    if t == "E":
-        if rank not in (6, 7, 8):
-            raise BadRank(f"E_n needs rank in {{6,7,8}}, got {rank}")
+    else:
         edges = [(1, 2), (1, 3), (1, 4), (3, 5), (4, 6)]
-        if rank >= 7:
-            edges.append((6, 7))
-        if rank == 8:
-            edges.append((7, 8))
-        return Forest.make(range(1, rank + 1), edges)
-    raise BadRank(f"unknown Dynkin type {dynkin_type!r}")
+        edges += [(i, i + 1) for i in range(6, rank)]
+    return Forest.make(range(1, rank + 1), edges)
 
 
 def e_long_branch_end(rank: int) -> int:
     """The last vertex on the long arm of E_rank (the E_7 parameter slot)."""
-    if rank not in (6, 7, 8):
-        raise BadRank(f"E_n needs rank in {{6,7,8}}, got {rank}")
+    check_rank("E", rank)
     return rank
 
 
@@ -197,26 +202,17 @@ def normal_form_slots(dynkin_type: str, rank: int) -> tuple[int, ...]:
 
     Empty for types whose varieties all normalize to the all-ones family.
     """
-    t = dynkin_type.upper()
+    t = check_rank(dynkin_type, rank)
     if t == "A":
-        if rank < 0:
-            raise BadRank(f"A_n needs rank >= 0, got {rank}")
         return (1,) if rank % 2 == 1 else ()
     if t == "D":
-        if rank < 3:
-            raise BadRank(f"D_n needs rank >= 3, got {rank}")
         return (1, 2) if rank % 2 == 0 else (1,)
-    if t == "E":
-        if rank not in (6, 7, 8):
-            raise BadRank(f"E_n needs rank in {{6,7,8}}, got {rank}")
-        return (e_long_branch_end(rank),) if rank == 7 else ()
-    raise BadRank(f"unknown Dynkin type {dynkin_type!r}")
+    return (e_long_branch_end(rank),) if rank == 7 else ()
 
 
 def dynkin_tiling(dynkin_type: str, rank: int) -> DominoTiling:
     """The canonical partial tiling avoiding exactly `normal_form_slots`."""
-    t = dynkin_type.upper()
-    f = dynkin(t, rank)  # validates rank
+    t = check_rank(dynkin_type, rank)
     if t == "A":
         start = 2 if rank % 2 == 1 else 1
         return DominoTiling.make((i, i + 1) for i in range(start, rank, 2))

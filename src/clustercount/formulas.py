@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .coeffs import CoeffMap
-from .counting import CountReport
+from .counting import CountReport, normal_form_instance
 from .errors import BadParity, BadRank, NotNormalized, UnsupportedType
-from .forests import dynkin, normal_form_slots
+from .forests import check_rank, dynkin, normal_form_slots
 from .gf import Field
 
 
@@ -109,28 +109,41 @@ def _e8(n: int, q: int) -> int:
     return q**8 + q**6 + q**5 + q**4 + q**3 + q**2 + 1
 
 
+def _always(p, F) -> bool:
+    return True
+
+
+def _generic_special(family: str, e: int, generic, special) -> list[FormulaBranch]:
+    """The two branches of a one-parameter family whose count changes when
+    the parameter equals (-1)^e."""
+    def is_special(p, F):
+        return p[0] == _minus_one_power(F, e)
+    return [
+        FormulaBranch(f"{family}-generic", lambda p, F: not is_special(p, F),
+                      generic),
+        FormulaBranch(f"{family}-special", is_special, special),
+    ]
+
+
 def branches_for(dynkin_type: str, rank: int) -> list[FormulaBranch]:
+    """The count formulas of a family with the parameter values (p, the
+    normal-form parameters in slot order) where each applies.
+
+    This is the one statement of which parameter values are special.  A
+    family with several branches lists `<family>-generic` first and names
+    the others `<family>-<kind>`."""
     t = dynkin_type.upper()
+    if t not in ("A", "D", "E"):
+        raise UnsupportedType(f"no closed form for type {dynkin_type!r}")
+    check_rank(t, rank)
+    if t == "A" and rank % 2 == 0:
+        return [FormulaBranch("A-even", _always, _a_even)]
     if t == "A":
-        if rank % 2 == 0:
-            return [FormulaBranch("A-even", lambda p, F: True, _a_even)]
-        def special(p, F, e=(rank + 1) // 2):
-            return p[0] == _minus_one_power(F, e)
-        return [
-            FormulaBranch("A-odd-generic",
-                          lambda p, F: not special(p, F), _a_odd_generic),
-            FormulaBranch("A-odd-special", special, _a_odd_special),
-        ]
+        return _generic_special("A-odd", (rank + 1) // 2,
+                                _a_odd_generic, _a_odd_special)
+    if t == "D" and rank % 2 == 1:
+        return _generic_special("D-odd", 0, _d_odd_generic, _d_odd_special)
     if t == "D":
-        if rank < 3:
-            raise BadRank(f"D_n needs rank >= 3, got {rank}")
-        if rank % 2 == 1:
-            return [
-                FormulaBranch("D-odd-generic",
-                              lambda p, F: p[0] != 1, _d_odd_generic),
-                FormulaBranch("D-odd-special",
-                              lambda p, F: p[0] == 1, _d_odd_special),
-            ]
         def s(F, e=rank // 2):
             return _minus_one_power(F, e)
         return [
@@ -151,20 +164,9 @@ def branches_for(dynkin_type: str, rank: int) -> list[FormulaBranch]:
                 lambda p, F: p[0] == p[1] == s(F),
                 _d_even_double_special),
         ]
-    if t == "E":
-        if rank == 6:
-            return [FormulaBranch("E6", lambda p, F: True, _e6)]
-        if rank == 7:
-            return [
-                FormulaBranch("E7-generic",
-                              lambda p, F: p[0] != F.neg_enc(1), _e7_generic),
-                FormulaBranch("E7-special",
-                              lambda p, F: p[0] == F.neg_enc(1), _e7_special),
-            ]
-        if rank == 8:
-            return [FormulaBranch("E8", lambda p, F: True, _e8)]
-        raise BadRank(f"E_n needs rank in {{6,7,8}}, got {rank}")
-    raise UnsupportedType(f"no closed form for type {dynkin_type!r}")
+    if rank == 7:
+        return _generic_special("E7", 1, _e7_generic, _e7_special)
+    return [FormulaBranch(f"E{rank}", _always, _e6 if rank == 6 else _e8)]
 
 
 def _normal_form_params(dynkin_type: str, rank: int,
@@ -205,13 +207,9 @@ def formula_count(dynkin_type: str, rank: int, coeffs: CoeffMap,
 
 def formula_count_params(dynkin_type: str, rank: int, field: Field,
                          params: tuple = ()) -> CountReport:
-    """Convenience wrapper building the normal-form coefficient map itself."""
-    f = dynkin(dynkin_type, rank)
-    slots = normal_form_slots(dynkin_type, rank)
-    values: dict[int, object] = {v: 1 for v in f.vertices}
-    for slot, val in zip(slots, params, strict=True):
-        values[slot] = val
-    return formula_count(dynkin_type, rank, CoeffMap.make(field, values), field)
+    """`formula_count` on `normal_form_instance`'s coefficients."""
+    inst = normal_form_instance(field, dynkin_type, rank, params)
+    return formula_count(dynkin_type, rank, inst.coeffs, field)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ across primes makes the counts non-polynomial.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import VarietyInstance, normal_form_instance
 from .errors import DuplicateAbscissa, HeldOutMismatch, UnsupportedType
 from .forests import normal_form_slots
+from .formulas import branches_for
 from .gf import Field, field_make, is_prime
 from .recursion import recursive_count
 
@@ -111,20 +113,6 @@ def interpolate_counts(samples) -> QPolynomial:
 # branch policies
 # ---------------------------------------------------------------------------
 
-def _special_code(dynkin_type: str, rank: int, field: Field) -> int | None:
-    """Encoding of the parameter value that switches the count formula."""
-    t = dynkin_type.upper()
-    if t == "A" and rank % 2 == 1:
-        return field.neg_enc(1) if ((rank + 1) // 2) % 2 else 1
-    if t == "D" and rank % 2 == 1:
-        return 1
-    if t == "D":
-        return field.neg_enc(1) if (rank // 2) % 2 else 1
-    if t == "E" and rank == 7:
-        return field.neg_enc(1)
-    return None
-
-
 @dataclass(frozen=True)
 class FamilyPolicy:
     """A Dynkin family plus a branch-stable parameter choice rule."""
@@ -142,31 +130,22 @@ class FamilyPolicy:
         return self.rank
 
     def params_for(self, field: Field) -> tuple[int, ...] | None:
-        """Normal-form parameters in this branch, or None when the field is
-        too small to realize it."""
-        t = self.dynkin_type.upper()
-        n_slots = len(normal_form_slots(t, self.rank))
-        special = _special_code(t, self.rank, field)
-        if n_slots == 0:
+        """The first tuple of units, in encoding order, that lies in this
+        branch, or None when the field is too small to realize it."""
+        n_slots = len(normal_form_slots(self.dynkin_type, self.rank))
+        branches = branches_for(self.dynkin_type, self.rank)
+        if len(branches) == 1:
             if self.branch != "generic":
                 raise UnsupportedType(f"{self.name}: family has a single branch")
-            return ()
-        nonspecial = [c for c in range(1, field.q) if c != special]
-        if n_slots == 1:
-            if self.branch == "generic":
-                return (nonspecial[0],) if nonspecial else None
-            if self.branch == "special":
-                return (special,)
-            raise UnsupportedType(f"{self.name}: unknown branch")
-        if self.branch == "generic":
-            return tuple(nonspecial[:2]) if len(nonspecial) >= 2 else None
-        if self.branch == "equal-special":
-            return (nonspecial[0],) * 2 if nonspecial else None
-        if self.branch == "one-special":
-            return (special, nonspecial[0]) if nonspecial else None
-        if self.branch == "double-special":
-            return (special, special)
-        raise UnsupportedType(f"{self.name}: unknown branch")
+            wanted = branches[0]
+        else:
+            family = branches[0].branch_id.removesuffix("-generic")
+            wanted = next((b for b in branches
+                           if b.branch_id == f"{family}-{self.branch}"), None)
+            if wanted is None:
+                raise UnsupportedType(f"{self.name}: unknown branch")
+        units = itertools.product(range(1, field.q), repeat=n_slots)
+        return next((p for p in units if wanted.predicate(p, field)), None)
 
     def instance(self, field: Field) -> VarietyInstance | None:
         params = self.params_for(field)

@@ -65,15 +65,23 @@ def _count_tree(forest: Forest, coeffs: CoeffMap, field, memo: dict) -> int:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    f = _pick_leaf(forest)
-    split = leaf_removal_transforms(forest, coeffs, f)
-    total = q * _count_forest(split.doubleprimed_forest,
-                              split.doubleprimed_coeffs, field, memo)
-    for beta in range(1, q):
-        total += _count_forest(split.primed.forest, split.primed.at(beta),
-                               field, memo)
+    total = sum(_split_counts(forest, coeffs, _pick_leaf(forest), field, memo))
     memo[key] = total
     return total
+
+
+def _split_counts(forest: Forest, coeffs: CoeffMap, leaf: int, field,
+                  memo: dict) -> tuple[int, int]:
+    """(zero part, nonzero part) of the split at `leaf`; see
+    `leaf_split_counts`."""
+    q = field.q
+    split = leaf_removal_transforms(forest, coeffs, leaf)
+    zero_part = q * _count_forest(split.doubleprimed_forest,
+                                  split.doubleprimed_coeffs, field, memo)
+    nonzero_part = sum(
+        _count_forest(split.primed.forest, split.primed.at(beta), field, memo)
+        for beta in range(1, q))
+    return zero_part, nonzero_part
 
 
 def _count_forest(forest: Forest, coeffs: CoeffMap, field, memo: dict) -> int:
@@ -108,12 +116,5 @@ def leaf_split_counts(instance: VarietyInstance, leaf: int,
     """The two terms of the recursion at `leaf`: (count of the locus where
     the leaf variable vanishes, count where it is invertible)."""
     memo = {} if memo is None else memo
-    field = instance.field
-    q = field.q
-    split = leaf_removal_transforms(instance.forest, instance.coeffs, leaf)
-    zero_part = q * _count_forest(split.doubleprimed_forest,
-                                  split.doubleprimed_coeffs, field, memo)
-    nonzero_part = sum(
-        _count_forest(split.primed.forest, split.primed.at(beta), field, memo)
-        for beta in range(1, q))
-    return zero_part, nonzero_part
+    return _split_counts(instance.forest, instance.coeffs, leaf,
+                         instance.field, memo)

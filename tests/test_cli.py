@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from clustercount import _countpy
 from clustercount.cli import main
 
@@ -79,6 +81,43 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--type", "A", "--rank", "4",
                                "--q", "5", "--alpha", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["4", ""])
+    def test_alpha_with_coeff_file_rejected(self, capsys, tmp_path, alpha):
+        coeff = tmp_path / "coeff.txt"
+        coeff.write_text("1 2\n")
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "3", "--q", "5", "--alpha", alpha,
+                                 "--coeff-file", str(coeff))
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err and "--coeff-file" in err
+
+    def test_rank_with_tree_file_rejected(self, capsys, tmp_path):
+        tree = tmp_path / "tree.txt"
+        tree.write_text("1 2\n2 3\n")
+        code, out, err = run_cli(capsys, "count", "--tree-file", str(tree),
+                                 "--rank", "3", "--q", "5")
+        assert code == 2
+        assert out == ""
+        assert "--rank" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "2", "--q", "3", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+    def test_bad_budget_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLUSTERCOUNT_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "2", "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "CLUSTERCOUNT_BUDGET" in err
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "--type", "A", "--rank", "8",

@@ -7,7 +7,7 @@ from clustercount import (DominoTiling, Forest, bipartite_color,
                           e_long_branch_end, leafy_tiling, normal_form_slots,
                           white_leaf)
 from clustercount.errors import BadRank, EmptyCoveredSet
-from clustercount.forests import BLACK, WHITE, parse_tree_text
+from clustercount.forests import BLACK, WHITE, check_rank, parse_tree_text
 
 from helpers import random_tree
 
@@ -42,6 +42,20 @@ class TestDynkin:
             dynkin("D", 2)
         with pytest.raises(BadRank):
             dynkin("E", 9)
+
+    def test_check_rank(self):
+        assert check_rank("a", 0) == "A"
+        assert check_rank("D", 3) == "D"
+        assert check_rank("e", 8) == "E"
+        for typ, rank, message in (
+                ("A", -1, "A_n needs rank >= 0, got -1"),
+                ("D", 2, "D_n needs rank >= 3, got 2"),
+                ("E", 5, "E_n needs rank in {6,7,8}, got 5"),
+                ("E", 9, "E_n needs rank in {6,7,8}, got 9"),
+                ("B", 2, "unknown Dynkin type 'B'")):
+            with pytest.raises(BadRank) as exc:
+                check_rank(typ, rank)
+            assert str(exc.value) == message
 
     def test_normal_form_slots(self):
         assert normal_form_slots("A", 4) == ()

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from clustercount import brute_count, field_from_order, field_make, normal_form_instance
@@ -106,6 +108,47 @@ class TestDispatch:
     def test_exact_division_guard(self):
         with pytest.raises(ArithmeticError):
             exact_div(7, 2)
+
+
+class TestSpecialValues:
+    """The paper's special parameter values, stated here independently of
+    `branches_for`: (-1)^((n+1)/2) for odd A_n, 1 for odd D_n, (-1)^(n/2)
+    for even D_n and -1 for E_7."""
+
+    @staticmethod
+    def _minus_one(F):
+        return next(u for u in range(1, F.q) if F.add_enc(u, 1) == 0)
+
+    def _special(self, typ, n, F):
+        if typ == "A":
+            return self._minus_one(F) if (n + 1) // 2 % 2 else 1
+        if typ == "D" and n % 2 == 1:
+            return 1
+        if typ == "D":
+            return self._minus_one(F) if n // 2 % 2 else 1
+        return self._minus_one(F)
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+    def test_special_branch_exactly_at_paper_value(self, q):
+        F = field_from_order(q)
+        families = ([("A", n, "A-odd") for n in range(1, 10, 2)]
+                    + [("D", n, "D-odd" if n % 2 else "D-even")
+                       for n in range(3, 9)]
+                    + [("E", 7, "E7")])
+        for typ, n, family in families:
+            s = self._special(typ, n, F)
+            n_params = 2 if typ == "D" and n % 2 == 0 else 1
+            for ps in itertools.product(range(1, q), repeat=n_params):
+                branch = formula_count_params(typ, n, F, ps).branch
+                if n_params == 1:
+                    expected = "special" if ps[0] == s else "generic"
+                elif ps.count(s) == 2:
+                    expected = "double-special"
+                elif ps.count(s) == 1:
+                    expected = "one-special"
+                else:
+                    expected = "equal-special" if ps[0] == ps[1] else "generic"
+                assert branch == f"{family}-{expected}", (q, ps, branch)
 
 
 class TestUnionsFormulas:

@@ -1,9 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from clustercount import brute_count
-from clustercount.errors import DuplicateAbscissa, HeldOutMismatch
+from clustercount import (brute_count, field_from_order, field_make,
+                          normal_form_slots)
+from clustercount.errors import (DuplicateAbscissa, HeldOutMismatch,
+                                 UnsupportedType)
+from clustercount.formulas import branches_for, formula_count_params
 from clustercount.qpoly import (FamilyPolicy, QPolynomial, fit_and_verify,
                                 interpolate_counts)
 
@@ -54,6 +58,48 @@ class TestPolicies:
         # D_4 generic needs two distinct non-special units
         assert FamilyPolicy("D", 4, "generic").params_for(field_make(3)) is None
         assert FamilyPolicy("D", 4, "generic").params_for(field_make(5)) == (2, 3)
+
+
+    def test_params_lie_in_the_branch_or_none_exist(self):
+        # every family and branch that `interpolate` accepts
+        families = ([("A", n) for n in range(10)]
+                    + [("D", n) for n in range(3, 9)]
+                    + [("E", n) for n in (6, 7, 8)])
+        branches = ("generic", "special", "equal-special", "one-special",
+                    "double-special")
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            F = field_from_order(q)
+            for (typ, n), branch in itertools.product(families, branches):
+                policy = FamilyPolicy(typ, n, branch)
+                try:
+                    params = policy.params_for(F)
+                except UnsupportedType:
+                    continue
+                if typ == "A" and n % 2 == 0:
+                    expected = "A-even"
+                elif typ == "E" and n != 7:
+                    expected = f"E{n}"
+                else:
+                    family = {"A": "A-odd", "D": f"D-{'odd' if n % 2 else 'even'}",
+                              "E": "E7"}[typ]
+                    expected = f"{family}-{branch}"
+                assert expected in {b.branch_id for b in branches_for(typ, n)}
+                if params is None:
+                    slots = len(normal_form_slots(typ, n))
+                    reached = {formula_count_params(typ, n, F, ps).branch
+                               for ps in itertools.product(range(1, q),
+                                                           repeat=slots)}
+                    assert expected not in reached, (policy.name, q)
+                else:
+                    got = formula_count_params(typ, n, F, params).branch
+                    assert got == expected, (policy.name, q, params)
+
+    def test_unknown_branches_rejected(self):
+        F = field_make(5)
+        for typ, n, branch in (("A", 3, "one-special"), ("D", 4, "special"),
+                               ("E", 8, "special"), ("A", 2, "special")):
+            with pytest.raises(UnsupportedType):
+                FamilyPolicy(typ, n, branch).params_for(F)
 
 
 class TestFitAndVerify:
