@@ -44,6 +44,8 @@ def _emit(obj) -> None:
 def _parse_alpha_items(spec: str) -> list:
     """Comma-separated items; each an integer reduced into the field, or a
     colon-separated coefficient vector for extension fields."""
+    if not spec.strip():
+        raise UsageError("--alpha is empty")
     items = []
     for part in spec.split(","):
         part = part.strip()
@@ -63,7 +65,7 @@ def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | Non
     if args.alpha is not None and args.coeff_file is not None:
         raise UsageError("give either --alpha or --coeff-file, not both")
     t = rank = None
-    if args.tree_file:
+    if args.tree_file is not None:
         forest = read_tree_file(args.tree_file)
     elif not args.type:
         raise UsageError("give a variety: --type/--rank or --tree-file")
@@ -72,9 +74,9 @@ def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | Non
     else:
         t, rank = args.type.upper(), args.rank
         forest = dynkin(t, rank)
-    if args.coeff_file:
+    if args.coeff_file is not None:
         cm = read_coeff_file(args.coeff_file, field, forest)
-    elif args.alpha:
+    elif args.alpha is not None:
         items = _parse_alpha_items(args.alpha)
         if len(items) == forest.n_vertices:
             cm = CoeffMap.make(field, dict(zip(forest.vertices, items)))
@@ -255,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["generic", "special", "equal-special",
                                    "one-special", "double-special"])
     p_interp.add_argument("--degree", type=int, default=None,
-                          help="degree bound (default: rank)")
+                          help="degree bound, at least 1 (default: rank)")
     p_interp.add_argument("--extra", type=int, default=2,
-                          help="held-out verification primes")
+                          help="held-out verification primes, at least 0")
     p_interp.add_argument("--ascending", action="store_true",
                           help="print polynomial lowest degree first")
     p_interp.set_defaults(fn=cmd_interpolate)

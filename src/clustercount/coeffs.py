@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotAdjacent, NotALeaf, ZeroCoefficient
-from .forests import (BLACK, WHITE, DominoTiling, Forest, _flip_schedule,
-                      bipartite_color)
+from .forests import DominoTiling, Forest, flip_plan
 from .gf import Field, FieldElement
 
 
@@ -79,6 +78,23 @@ class NormalForm:
     trace: tuple[tuple[int, int], ...]
 
 
+def apply_flips(field: Field, values: dict[int, int],
+                flips) -> dict[int, int]:
+    """`values` after each flip (s, t, others) in turn: the coefficient at
+    s becomes 1 and those on `others`, the other neighbors of t, are divided
+    by the old coefficient at s."""
+    vals = dict(values)
+    for s, _, others in flips:
+        a_s = vals[s]
+        if a_s == 0:
+            raise ZeroCoefficient(f"cannot flip zero coefficient at vertex {s}")
+        inv = field.inv_enc(a_s)
+        vals[s] = 1
+        for u in others:
+            vals[u] = field.mul_enc(vals[u], inv)
+    return vals
+
+
 def flip(forest: Forest, coeffs: CoeffMap, s: int, t: int) -> CoeffMap:
     """Jump the coefficient at s over the adjacent vertex t.
 
@@ -88,16 +104,10 @@ def flip(forest: Forest, coeffs: CoeffMap, s: int, t: int) -> CoeffMap:
     """
     if t not in forest.adjacency.get(s, ()):
         raise NotAdjacent(f"{s}-{t} is not an edge")
-    a_s = coeffs.enc(s)
-    if a_s == 0:
-        raise ZeroCoefficient(f"cannot flip zero coefficient at vertex {s}")
-    inv = coeffs.field.inv_enc(a_s)
-    vals = dict(coeffs.values)
-    vals[s] = 1
-    for u in forest.adjacency[t]:
-        if u != s:
-            vals[u] = coeffs.field.mul_enc(vals[u], inv)
-    return CoeffMap(coeffs.field, vals, coeffs.allow_zero)
+    others = tuple(u for u in forest.adjacency[t] if u != s)
+    return CoeffMap(coeffs.field,
+                    apply_flips(coeffs.field, coeffs.values, [(s, t, others)]),
+                    coeffs.allow_zero)
 
 
 def normalize(forest: Forest, tiling: DominoTiling, coeffs: CoeffMap,
@@ -112,16 +122,10 @@ def normalize(forest: Forest, tiling: DominoTiling, coeffs: CoeffMap,
     for v in tiling.covered:
         if coeffs.enc(v) == 0:
             raise ZeroCoefficient(f"coefficient at covered vertex {v} is zero")
-    if coloring is None:
-        coloring = bipartite_color(forest)
-    out = coeffs
-    trace = []
-    for color in (WHITE, BLACK):
-        for s in _flip_schedule(forest, tiling, coloring, color):
-            t = tiling.partner(s)
-            out = flip(forest, out, s, t)
-            trace.append((s, t))
-    return NormalForm(forest, tiling, out, tuple(trace))
+    plan = flip_plan(forest, tiling, coloring)
+    out = CoeffMap(coeffs.field, apply_flips(coeffs.field, coeffs.values, plan),
+                   coeffs.allow_zero)
+    return NormalForm(forest, tiling, out, tuple((s, t) for s, t, _ in plan))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,10 @@ class Forest:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
     def components(self) -> tuple[tuple[int, ...], ...]:
+        return self._components
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
         seen = set()
         comps = []
         for start in self.vertices:
@@ -107,7 +111,11 @@ class Forest:
         return tuple(comps)
 
     def induced(self, keep) -> "Forest":
+        """The subforest on `keep`; `self` itself (with its cached plans)
+        when `keep` covers every vertex."""
         keep = set(keep)
+        if keep.issuperset(self.vertices):
+            return self
         return Forest(
             tuple(v for v in self.vertices if v in keep),
             tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
@@ -122,6 +130,52 @@ class Forest:
             [mapping[v] for v in self.vertices],
             [(mapping[u], mapping[v]) for u, v in self.edges],
         )
+
+    @cached_property
+    def leafy_flips(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """`flip_plan` of `leafy_tiling(self)`: the flips that `normalize`
+        makes on this forest, ready to replay on any coefficients."""
+        return flip_plan(self, leafy_tiling(self))
+
+    @cached_property
+    def _canonical_plan(self):
+        """Per component: its one or two centres, and every vertex with its
+        children, listed children first, in the tree hung from the centres.
+        Two centres are each other's parent, so neither is the other's
+        child; a single centre is its own parent."""
+        plan = []
+        for comp in self.components():
+            roots = _centres(self, comp)
+            parent = {roots[0]: roots[-1], roots[-1]: roots[0]}
+            top_down = list(roots)
+            for v in top_down:
+                for u in self.adjacency[v]:
+                    if u not in parent:
+                        parent[u] = v
+                        top_down.append(u)
+            plan.append((roots, tuple(
+                (v, tuple(u for u in self.adjacency[v] if u != parent[v]))
+                for v in reversed(top_down))))
+        return tuple(plan)
+
+
+def _centres(forest: Forest, comp: tuple[int, ...]) -> tuple[int, ...]:
+    """The one or two centres of a tree: what is left after stripping its
+    leaves layer by layer."""
+    degree = {v: forest.degree(v) for v in comp}
+    layer = [v for v in comp if degree[v] <= 1]
+    left = len(comp)
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in forest.adjacency[v]:
+                if degree[u] > 1:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return tuple(sorted(layer))
 
 
 @dataclass(frozen=True)
@@ -318,6 +372,22 @@ def _flip_schedule(forest: Forest, tiling: DominoTiling,
     return order
 
 
+def flip_plan(forest: Forest, tiling: DominoTiling,
+              coloring: dict[int, str] | None = None
+              ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The flips that normalize `tiling`'s covered vertices, whites first,
+    each color in its `_flip_schedule`: triples (s, partner t, the other
+    neighbors of t, whose coefficients the flip divides)."""
+    if coloring is None:
+        coloring = bipartite_color(forest)
+    plan = []
+    for color in (WHITE, BLACK):
+        for s in _flip_schedule(forest, tiling, coloring, color):
+            t = tiling.partner(s)
+            plan.append((s, t, tuple(u for u in forest.adjacency[t] if u != s)))
+    return tuple(plan)
+
+
 def white_leaf(forest: Forest, tiling: DominoTiling,
                coloring: dict[int, str]) -> int:
     """First white vertex in the flip schedule of the covered subgraph."""
@@ -334,21 +404,22 @@ def canonical_form(forest: Forest, labels: dict[int, object] | None = None) -> s
     """Isomorphism-invariant encoding of a labeled forest.
 
     Two forests get the same string exactly when some graph isomorphism
-    between them matches the per-vertex label data.  Each component is
-    encoded as the minimum over all roots of its rooted canonical string;
-    component strings are sorted.  Intended for small forests (the
-    memoization keys of the counting recursion), so the O(n^2) rooting
-    sweep is fine.
+    between them matches the per-vertex label data (labels are written with
+    `str` and must not contain any of "(|);").  Every isomorphism maps a
+    tree's centres to centres, so each component is encoded rooted at its
+    centre, or as the sorted pair of its two halves rooted at either end of
+    its central edge; component strings are sorted.  The rooting is a plan
+    cached on the forest, so a call is one bottom-up pass that sorts each
+    vertex's child strings, instead of one pass per root (O(n^2) in all).
     """
     labels = labels or {}
-
-    def enc(v: int, parent: int | None) -> str:
-        subs = sorted(enc(u, v) for u in forest.adjacency[v] if u != parent)
-        return f"({labels.get(v, '')}|{''.join(subs)})"
-
     comps = []
-    for comp in forest.components():
-        comps.append(min(enc(root, None) for root in comp))
+    for roots, bottom_up in forest._canonical_plan:
+        enc = {}
+        for v, children in bottom_up:
+            subs = "".join(sorted([enc[u] for u in children]))
+            enc[v] = f"({labels.get(v, '')}|{subs})"
+        comps.append("".join(sorted(enc[r] for r in roots)))
     return ";".join(sorted(comps))
 
 

@@ -183,9 +183,15 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
     Counts run at the first degree+1 admissible primes >= 3, then `extra`
     more; the interpolant must have integer coefficients and zero held-out
     residuals (a mismatch raises HeldOutMismatch).  Counting defaults to the
-    leaf-removal recursion, which stays fast at the larger primes.
+    leaf-removal recursion, which stays fast at the larger primes.  A degree
+    below 1 or a negative `extra` raises ValueError.
     """
     degree = policy.degree_bound if degree is None else degree
+    if degree < 1:
+        raise ValueError(f"the degree bound must be at least 1, got {degree}")
+    if extra < 0:
+        raise ValueError(f"the held-out prime count must be at least 0, "
+                         f"got {extra}")
     if counter is None:
         memo = {} if memo is None else memo
         def counter(inst):
@@ -199,7 +205,7 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
             continue
         target = samples if len(samples) <= degree else held
         target.append((p, counter(inst)))
-        if len(held) >= extra:
+        if len(samples) > degree and len(held) >= extra:
             break
     poly = interpolate_counts(samples)
     if not poly.is_integral():

@@ -15,22 +15,29 @@ table is keyed on its canonical form, so children that normalize alike
 share one entry; but the distinct classes still number about one per beta,
 so the memo grows linearly in q (with every normal-form parameter 2: q + 1
 entries for A4, q + 2 for D5, 3q + 1 for E8) and the time about as q^2.
+
+All q - 1 beta children share one forest object (`Forest.induced` returns
+the forest itself for a whole component), so what a key needs of the
+forest is computed once per forest and cached on it: its components, the
+flips of `normalize` on its leafy tiling (`Forest.leafy_flips`) and the
+centre rooting of `canonical_form`.  A key then costs one replay of the
+flips on the coefficients (`coeffs.apply_flips`) and one `canonical_form`
+call.  The key is the canonical form of `normalize`'s result, so the memo
+classes are those of normalizing each child afresh.
 """
 
 from __future__ import annotations
 
 import time
 
-from .coeffs import CoeffMap, leaf_removal_transforms, normalize
+from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
 from .errors import ZeroCoefficient
-from .forests import Forest, canonical_form, leafy_tiling
+from .forests import Forest, canonical_form
 
 
 def _memo_key(forest: Forest, coeffs: CoeffMap, q: int):
-    tiling = leafy_tiling(forest)
-    norm = normalize(forest, tiling, coeffs)
-    labels = {v: norm.coeffs.enc(v) for v in forest.vertices}
+    labels = apply_flips(coeffs.field, coeffs.values, forest.leafy_flips)
     return canonical_form(forest, labels), q
 
 
@@ -41,17 +48,11 @@ def _single_vertex_count(coeffs: CoeffMap, v: int, q: int) -> int:
 
 
 def _pick_leaf(forest: Forest) -> int:
-    """Leaf whose removal (with its neighbor) splits off the most components;
-    any leaf is correct, this only speeds up the recursion."""
-    best, best_score = None, None
-    for f in sorted(forest.vertices):
-        if forest.degree(f) != 1:
-            continue
-        g = forest.adjacency[f][0]
-        score = len(forest.remove([f, g]).components())
-        if best_score is None or score > best_score:
-            best, best_score = f, score
-    return best
+    """Leaf whose removal with its neighbor splits the tree into the most
+    components, i.e. whose neighbor has the highest degree (the first such
+    leaf); any leaf is correct, this only speeds up the recursion."""
+    return max(forest.leaves(),
+               key=lambda f: forest.degree(forest.adjacency[f][0]))
 
 
 def _count_tree(forest: Forest, coeffs: CoeffMap, field, memo: dict) -> int:

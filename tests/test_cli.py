@@ -110,6 +110,15 @@ class TestCount:
         assert out == ""
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--coeff-file"])
+    def test_empty_coefficient_flag_rejected(self, capsys, flag):
+        # an empty value is an error, not the all-ones default
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "2", "--q", "3", flag, "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bad_budget_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("CLUSTERCOUNT_BUDGET", "abc")
         code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
@@ -166,6 +175,24 @@ class TestOtherCommands:
         assert payload["polynomial"] == "q^4 - 2*q^2 + 1"
         assert payload["coefficients"] == ["1", "0", "-2", "0", "1"]
         assert payload["residuals"] == [0, 0]
+
+    def test_interpolate_without_held_out_primes(self, capsys):
+        code, out, _ = run_cli(capsys, "interpolate", "--type", "A", "--rank",
+                               "2", "--extra", "0")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["polynomial"] == "q^2 + 1"
+        assert payload["held_out"] == []
+
+    @pytest.mark.parametrize("flag, value", [("--extra", "-1"),
+                                             ("--degree", "0"),
+                                             ("--degree", "-2")])
+    def test_interpolate_bad_sizes_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "interpolate", "--type", "A",
+                                 "--rank", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_check_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--suite", "fibration")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -194,6 +195,41 @@ class TestCanonicalForm:
             relabels = {mapping[v]: labels[v] for v in f.vertices}
             assert canonical_form(f, labels) == canonical_form(g, relabels)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_exactly_when_isomorphic(self, n):
+        # every forest on 1..n (bicentral trees and forests of several
+        # components included) with every labeling from {1, 2}; the classes
+        # of label-preserving isomorphism come from brute force over all
+        # vertex permutations, and must be the classes of equal strings
+        vertices = range(1, n + 1)
+        pairs = list(itertools.combinations(vertices, 2))
+        forests = []
+        for k in range(n):
+            for edges in itertools.combinations(pairs, k):
+                try:
+                    forests.append(Forest.make(vertices, edges))
+                except ValueError:  # a cycle
+                    pass
+        assert len(forests) == {1: 1, 2: 2, 3: 7, 4: 38, 5: 291, 6: 2932}[n]
+        perms = list(itertools.permutations(vertices))  # v -> p[v - 1]
+        preimages = [[p.index(v) for v in vertices] for p in perms]
+        iso_class, string_class = {}, {}
+        for f in forests:
+            edge_images = None
+            for labels in itertools.product((1, 2), repeat=n):
+                obj = (frozenset(f.edges), labels)
+                if obj not in iso_class:
+                    if edge_images is None:
+                        edge_images = [frozenset(
+                            (min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1]))
+                            for u, v in f.edges) for p in perms]
+                    for edges, pre in zip(edge_images, preimages):
+                        iso_class[edges, tuple(labels[i] for i in pre)] = obj
+                cf = canonical_form(f, dict(zip(vertices, labels)))
+                assert string_class.setdefault(cf, iso_class[obj]) \
+                    == iso_class[obj]
+        assert len(string_class) == len(set(iso_class.values()))
+
     def test_forest_components_sorted(self):
         f1 = Forest.make([1, 2, 3, 4], [(1, 2)])
         f2 = Forest.make([1, 2, 3, 4], [(3, 4)])
@@ -216,6 +252,14 @@ class TestForestBasics:
     def test_components(self):
         f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (4, 5)])
         assert f.components() == ((1, 2), (3,), (4, 5))
+
+    def test_induced_on_every_vertex_is_the_forest(self):
+        f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (2, 3), (4, 5)])
+        assert f.induced([5, 4, 3, 2, 1, 6]) is f
+        assert f.remove([]) is f
+        sub = f.induced([2, 3, 4])
+        assert (sub.vertices, sub.edges) == ((2, 3, 4), ((2, 3),))
+        assert sub.components() == ((2, 3), (4,))
 
     def test_parse_tree_text(self):
         f = parse_tree_text("1 2\n2 3\n5\n# comment\n")

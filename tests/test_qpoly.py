@@ -132,6 +132,12 @@ class TestFitAndVerify:
                              counter=lambda inst: brute_count(inst).count)
         assert str(rep.polynomial) == "q^2 + 1"
 
+    def test_no_held_out_primes(self):
+        rep = fit_and_verify(FamilyPolicy("A", 2, "generic"), extra=0)
+        assert str(rep.polynomial) == "q^2 + 1"
+        assert [q for q, _ in rep.samples] == [3, 5, 7]
+        assert rep.held_out == () and rep.residuals == ()
+
     def test_mixed_branch_policy_caught(self):
         # counting a DIFFERENT branch at one held-out prime must raise
         class LyingPolicy(FamilyPolicy):

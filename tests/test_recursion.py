@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from clustercount import (CoeffMap, VarietyInstance, brute_count,
-                          brute_points, dynkin, field_from_order, field_make,
-                          normal_form_instance)
+from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
+                          brute_points, canonical_form, dynkin,
+                          field_from_order, field_make, leafy_tiling,
+                          normal_form_instance, normalize)
+from clustercount.coeffs import apply_flips
 from clustercount.errors import ZeroCoefficient
 from clustercount.forests import normal_form_slots
-from clustercount.recursion import (leaf_split_counts, recursive_count)
+from clustercount.formulas import formula_count
+from clustercount.recursion import (_memo_key, leaf_split_counts,
+                                    recursive_count)
 
 from helpers import random_coeffs, random_tree, spider
 
@@ -56,15 +60,43 @@ def test_matches_brute_exhaustively_tiny():
 
 
 def test_matches_brute_randomized():
+    # one memo for every field, prime powers F_4, F_8 and F_9 included
     rng = random.Random(53)
     memo = {}
-    for q in (2, 3, 4, 5):
+    for q, trials, max_n in ((2, 200, 8), (3, 200, 8), (4, 200, 8),
+                             (5, 200, 8), (7, 60, 5), (8, 60, 5), (9, 60, 5)):
         F = field_from_order(q)
-        for _ in range(200):
-            f = random_tree(rng, rng.randint(1, 8))
+        for _ in range(trials):
+            f = random_tree(rng, rng.randint(1, max_n))
             inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
             assert (recursive_count(inst, memo).count
                     == brute_count(inst).count)
+
+
+def test_memo_key_replays_normalize():
+    # the forest's cached flips give what normalize gives on its leafy
+    # tiling, so the key is the canonical form of the normalized map
+    rng = random.Random(67)
+    for i in range(200):
+        q = (2, 3, 4, 5, 7, 8, 9)[i % 7]
+        F = field_from_order(q)
+        tree = random_tree(rng, rng.randint(1, 9))
+        f = Forest.make(tree.vertices,
+                        [e for e in tree.edges if rng.random() < 0.8])
+        cm = random_coeffs(rng, F, f)
+        norm = normalize(f, leafy_tiling(f), cm)
+        assert apply_flips(F, cm.values, f.leafy_flips) == norm.coeffs.values
+        assert _memo_key(f, cm, q) == (canonical_form(f, norm.coeffs.values), q)
+
+
+def test_long_path_matches_formula():
+    # a long path over F_3, all ones: its keys are rooted at the centres,
+    # not at all 150 vertices, so this takes well under a second
+    F = field_make(3)
+    f = dynkin("A", 150)
+    inst = VarietyInstance(f, CoeffMap.ones(F, f), F)
+    assert (recursive_count(inst).count
+            == formula_count("A", 150, inst.coeffs, F).count)
 
 
 def test_memoized_equals_unmemoized():
