@@ -12,8 +12,8 @@ locates singular points, and recovers count polynomials in q by exact
 interpolation.
 """
 
-from .coeffs import (CoeffMap, LeafSplit, NormalForm, ScaledSlotCoeffs, flip,
-                     leaf_removal_transforms, normalize)
+from .coeffs import (CoeffMap, NormalForm, flip, leaf_removal_transforms,
+                     normalize)
 from .counting import (CountReport, EXTENSION_AVAILABLE, FibrationReport,
                        PointRecord, VarietyInstance, brute_count,
                        brute_points, check_z_fibration, count_Y, count_Z,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoeffMap", "CountReport", "DominoTiling", "EXTENSION_AVAILABLE",
-    "FibrationReport", "Field", "FieldElement", "Forest", "LeafSplit",
-    "NormalForm", "PointRecord", "ScaledSlotCoeffs", "VarietyInstance",
+    "FibrationReport", "Field", "FieldElement", "Forest", "NormalForm",
+    "PointRecord", "VarietyInstance",
     "bipartite_color", "brute_count", "brute_points", "canonical_form",
     "check_z_fibration", "count_Y", "count_Z", "dynkin", "dynkin_tiling",
     "e_long_branch_end", "field_from_order", "field_make", "flip",

@@ -23,7 +23,7 @@ from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
 from .errors import BudgetExceeded, ClusterCountError, HeldOutMismatch
 from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
-from .gf import field_from_order
+from .gf import FieldElement, field_from_order
 from .qpoly import FamilyPolicy, fit_and_verify
 from .recursion import recursive_count
 from .singular import singular_points
@@ -163,15 +163,17 @@ def cmd_singular(args) -> int:
     field = field_from_order(args.q)
     instance, _, _ = _build_instance(args, field)
     pts = singular_points(instance, budget=args.budget)
+
+    def coords(p, codes):
+        return {str(v): str(FieldElement(field, c))
+                for v, c in zip(p.vertices, codes)}
+
     _emit({
         "variety": instance.descriptor(),
         "q": field.q,
         "count": len(pts),
-        "singular_points": [
-            {"x": {str(v): str(p.x[v]) for v in sorted(p.x)},
-             "xp": {str(v): str(p.xp[v]) for v in sorted(p.xp)}}
-            for p in pts
-        ],
+        "singular_points": [{"x": coords(p, p.xs), "xp": coords(p, p.xps)}
+                            for p in pts],
     })
     return 0
 

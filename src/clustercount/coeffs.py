@@ -50,20 +50,6 @@ class CoeffMap:
     def get(self, v: int) -> FieldElement:
         return FieldElement(self.field, self.values[v])
 
-    def with_value(self, v: int, value) -> "CoeffMap":
-        e = self.field.element(value).code
-        if e == 0 and not self.allow_zero:
-            raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
-        vals = dict(self.values)
-        vals[v] = e
-        return CoeffMap(self.field, vals, self.allow_zero)
-
-    def restrict(self, vertices) -> "CoeffMap":
-        keep = set(vertices)
-        return CoeffMap(self.field,
-                        {v: e for v, e in self.values.items() if v in keep},
-                        self.allow_zero)
-
     def as_str(self) -> dict[int, str]:
         return {v: str(self.get(v)) for v in sorted(self.values)}
 
@@ -110,8 +96,8 @@ def flip(forest: Forest, coeffs: CoeffMap, s: int, t: int) -> CoeffMap:
                     coeffs.allow_zero)
 
 
-def normalize(forest: Forest, tiling: DominoTiling, coeffs: CoeffMap,
-              coloring: dict[int, str] | None = None) -> NormalForm:
+def normalize(forest: Forest, tiling: DominoTiling,
+              coeffs: CoeffMap) -> NormalForm:
     """Flip every covered vertex over its domino partner, whites first.
 
     Within a color the flips follow the schedule that never revisits an
@@ -122,47 +108,13 @@ def normalize(forest: Forest, tiling: DominoTiling, coeffs: CoeffMap,
     for v in tiling.covered:
         if coeffs.enc(v) == 0:
             raise ZeroCoefficient(f"coefficient at covered vertex {v} is zero")
-    plan = flip_plan(forest, tiling, coloring)
+    plan = flip_plan(forest, tiling)
     out = CoeffMap(coeffs.field, apply_flips(coeffs.field, coeffs.values, plan),
                    coeffs.allow_zero)
     return NormalForm(forest, tiling, out, tuple((s, t) for s, t, _ in plan))
 
 
-@dataclass(frozen=True)
-class ScaledSlotCoeffs:
-    """Coefficient family on a fixed forest: `base` with the value at `slot`
-    multiplied by a free invertible parameter."""
-
-    forest: Forest
-    base: CoeffMap
-    slot: int
-
-    def at(self, beta) -> CoeffMap:
-        b = self.base.field.element(beta)
-        if b.is_zero():
-            raise ZeroCoefficient("slot multiplier must be invertible")
-        return self.base.with_value(
-            self.slot, self.base.field.mul_enc(self.base.enc(self.slot), b.code))
-
-
-@dataclass(frozen=True)
-class LeafSplit:
-    """The two reduced families produced by removing a leaf.
-
-    `primed` lives on the forest without the leaf and carries a free
-    multiplier on the leaf's old neighbor; `doubleprimed_*` describe the
-    forest with both the leaf and its neighbor removed.
-    """
-
-    leaf: int
-    neighbor: int
-    primed: ScaledSlotCoeffs
-    doubleprimed_forest: Forest
-    doubleprimed_coeffs: CoeffMap
-
-
-def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap,
-                            leaf: int) -> LeafSplit:
+def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
     """Coefficient transforms for the two loci of the leaf-removal split.
 
     With f the leaf, g its neighbor: on the locus where the variable at f is
@@ -170,28 +122,29 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap,
     at g multiplied by beta.  On the locus where it vanishes, it is a line
     times the variety on T - {f, g} with the coefficients at the other
     neighbors of g divided by -alpha_f.
+
+    Returns (g, (T - f, its encodings), (T - {f, g}, its encodings)); the
+    encodings on T - f are those of `coeffs`, before any beta.
     """
     if forest.degree(leaf) != 1:
         raise NotALeaf(f"vertex {leaf} has degree {forest.degree(leaf)}")
-    a_f = coeffs.enc(leaf)
+    vals = coeffs.values
+    a_f = vals[leaf]
     if a_f == 0:
         raise ZeroCoefficient(f"coefficient at leaf {leaf} is zero")
     g = forest.adjacency[leaf][0]
     fld = coeffs.field
 
     t_primed = forest.remove([leaf])
-    primed = ScaledSlotCoeffs(t_primed, coeffs.restrict(t_primed.vertices), g)
+    primed = {v: vals[v] for v in t_primed.vertices}
 
     t_double = forest.remove([leaf, g])
     scale = fld.neg_enc(fld.inv_enc(a_f))  # -1/alpha_f
-    vals = {}
-    for v in t_double.vertices:
-        e = coeffs.enc(v)
-        if v in forest.adjacency[g]:
-            e = fld.mul_enc(e, scale)
-        vals[v] = e
-    return LeafSplit(leaf, g, primed, t_double,
-                     CoeffMap(fld, vals, coeffs.allow_zero))
+    double = {v: vals[v] for v in t_double.vertices}
+    for v in forest.adjacency[g]:
+        if v != leaf:
+            double[v] = fld.mul_enc(double[v], scale)
+    return g, (t_primed, primed), (t_double, double)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ whenever the field has lookup tables, and the scalar scan covers larger
 fields and serves as the reference.  Counting goes through
 `_countpy.count_block`; point listing (`brute_points`) takes the live
 assignments and their determined x' from `_countpy.live_blocks`, both built
-on that one `_rhs`, and expands the free x' slots itself.
+on that one `_rhs`, and expands the free x' slots itself.  Each point is a
+`PointRecord`: the vertices and the field, with the x and x' encodings as
+tuples in vertex order; only a caller that prints a point or checks it
+with element arithmetic builds `FieldElement`s from them.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -33,7 +36,7 @@ from . import _countpy
 from .coeffs import CoeffMap
 from .errors import BadBudget, BudgetExceeded, UnsupportedType
 from .forests import Forest, dynkin, normal_form_slots
-from .gf import Field, FieldElement
+from .gf import Field
 
 EXTENSION_AVAILABLE = False  # no compiled kernel exists; perfbench reads this
 DEFAULT_BUDGET = 10**9
@@ -89,57 +92,22 @@ class VarietyInstance:
 
 
 class PointRecord:
-    """One solution: the x and x' encodings per vertex, as the tuples `xs`
-    and `xps` in the order of `vertices`.  `x` and `xp` give the same values
-    as {vertex: FieldElement}, built on first use.
+    """One point: its x and x' encodings, as the tuples `xs` and `xps` in the
+    order of `vertices`, over `field`.  A plain slotted record, since the
+    listing builds one per point; `key()` is what records sort and compare
+    by."""
 
-    `PointRecord(x, xp)` takes those two dicts; the listing builds records
-    from encodings with `from_codes`."""
+    __slots__ = ("vertices", "field", "xs", "xps")
 
-    __slots__ = ("vertices", "field", "xs", "xps", "_x", "_xp")
-
-    def __init__(self, x: dict[int, FieldElement], xp: dict[int, FieldElement]):
-        vs = tuple(sorted(x))
-        self.vertices = vs
-        self.field = x[vs[0]].field if vs else None
-        self.xs = tuple(x[v].code for v in vs)
-        self.xps = tuple(xp[v].code for v in vs)
-        self._x, self._xp = x, xp
-
-    @classmethod
-    def from_codes(cls, vertices: tuple[int, ...], field: Field,
-                   xs: tuple[int, ...], xps: tuple[int, ...]) -> "PointRecord":
-        rec = cls.__new__(cls)
-        rec.vertices, rec.field, rec.xs, rec.xps = vertices, field, xs, xps
-        rec._x = rec._xp = None
-        return rec
-
-    @property
-    def x(self) -> dict[int, FieldElement]:
-        if self._x is None:
-            self._x = {v: FieldElement(self.field, c)
-                       for v, c in zip(self.vertices, self.xs)}
-        return self._x
-
-    @property
-    def xp(self) -> dict[int, FieldElement]:
-        if self._xp is None:
-            self._xp = {v: FieldElement(self.field, c)
-                        for v, c in zip(self.vertices, self.xps)}
-        return self._xp
+    def __init__(self, vertices: tuple[int, ...], field: Field,
+                 xs: tuple[int, ...], xps: tuple[int, ...]):
+        self.vertices = vertices
+        self.field = field
+        self.xs = xs
+        self.xps = xps
 
     def key(self) -> tuple:
         return self.xs, self.xps
-
-    def __eq__(self, other):
-        if not isinstance(other, PointRecord):
-            return NotImplemented
-        return (self.vertices, self.field, self.xs, self.xps) == \
-            (other.vertices, other.field, other.xs, other.xps)
-
-    def __repr__(self):
-        return (f"PointRecord(vertices={self.vertices}, xs={self.xs}, "
-                f"xps={self.xps}, field={self.field!r})")
 
 
 @dataclass(frozen=True)
@@ -293,7 +261,7 @@ def brute_points(instance: VarietyInstance, *, budget: int | None = None):
     n = len(vs)
     _check_budget(n, q, budget)
     if n == 0:
-        yield PointRecord({}, {})
+        yield PointRecord(vs, fld, (), ())
         return
     alpha, nbrs = instance.scan_arrays
     inv = fld.inv_table()
@@ -304,16 +272,15 @@ def brute_points(instance: VarietyInstance, *, budget: int | None = None):
                 for xs, xps in zip(x.T.tolist(), xp.T.tolist()))
     else:
         live = _live_scalar(fld, alpha, nbrs, inv, n)
-    make = PointRecord.from_codes
     for xs, xps in live:
         if 0 not in xs:
-            yield make(vs, fld, xs, tuple(xps))
+            yield PointRecord(vs, fld, xs, tuple(xps))
             continue
         free = [t for t, x in enumerate(xs) if x == 0]
         for combo in itertools.product(range(q), repeat=len(free)):
             for slot, val in zip(free, combo):
                 xps[slot] = val
-            yield make(vs, fld, xs, tuple(xps))
+            yield PointRecord(vs, fld, xs, tuple(xps))
 
 
 def _live_scalar(fld: Field, alpha, nbrs, inv, n):

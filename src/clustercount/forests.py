@@ -76,14 +76,8 @@ class Forest:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def is_leaf(self, v: int) -> bool:
-        return self.degree(v) == 1
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
@@ -372,14 +366,12 @@ def _flip_schedule(forest: Forest, tiling: DominoTiling,
     return order
 
 
-def flip_plan(forest: Forest, tiling: DominoTiling,
-              coloring: dict[int, str] | None = None
+def flip_plan(forest: Forest, tiling: DominoTiling
               ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The flips that normalize `tiling`'s covered vertices, whites first,
     each color in its `_flip_schedule`: triples (s, partner t, the other
     neighbors of t, whose coefficients the flip divides)."""
-    if coloring is None:
-        coloring = bipartite_color(forest)
+    coloring = bipartite_color(forest)
     plan = []
     for color in (WHITE, BLACK):
         for s in _flip_schedule(forest, tiling, coloring, color):

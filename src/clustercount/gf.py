@@ -236,21 +236,12 @@ class Field:
             return FieldElement(self, self.from_int(value))
         return FieldElement(self, self.from_vector(value))
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    def minus_one(self) -> "FieldElement":
-        return FieldElement(self, self.neg_enc(1))
 
     def elements(self) -> list["FieldElement"]:
         """All q elements in encoding order: 0 first, 1 second."""
         return [FieldElement(self, c) for c in range(self.q)]
-
-    def units(self) -> list["FieldElement"]:
-        return [FieldElement(self, c) for c in range(1, self.q)]
 
     # -- lookup tables for the enumeration kernels ------------------------------
 

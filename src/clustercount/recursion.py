@@ -16,14 +16,18 @@ share one entry; but the distinct classes still number about one per beta,
 so the memo grows linearly in q (with every normal-form parameter 2: q + 1
 entries for A4, q + 2 for D5, 3q + 1 for E8) and the time about as q^2.
 
-All q - 1 beta children share one forest object (`Forest.induced` returns
-the forest itself for a whole component), so what a key needs of the
-forest is computed once per forest and cached on it: its components, the
-flips of `normalize` on its leafy tiling (`Forest.leafy_flips`) and the
-centre rooting of `canonical_form`.  A key then costs one replay of the
-flips on the coefficients (`coeffs.apply_flips`) and one `canonical_form`
-call.  The key is the canonical form of `normalize`'s result, so the memo
-classes are those of normalizing each child afresh.
+The recursion carries a forest, its coefficient encodings as a plain
+{vertex: encoding} dict, and the field.  A beta child costs one copy of
+the dict on T - f with a_g * beta written at g (`Field.mul_enc`), and one
+memo key.  A dict is split per component only when its forest has more
+than one, which T - f, a tree, never has; so all q - 1 beta children share
+the one forest object T - f, and what a key needs of the forest is
+computed once and cached on it: its components, the flips of `normalize`
+on its leafy tiling (`Forest.leafy_flips`) and the centre rooting of
+`canonical_form`.  A key then costs one replay of the flips on the
+encodings (`coeffs.apply_flips`) and one `canonical_form` call.  The key
+is the canonical form of `normalize`'s result, so the memo classes are
+those of normalizing each child afresh.
 """
 
 from __future__ import annotations
@@ -34,17 +38,12 @@ from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
 from .errors import ZeroCoefficient
 from .forests import Forest, canonical_form
+from .gf import Field
 
 
-def _memo_key(forest: Forest, coeffs: CoeffMap, q: int):
-    labels = apply_flips(coeffs.field, coeffs.values, forest.leafy_flips)
-    return canonical_form(forest, labels), q
-
-
-def _single_vertex_count(coeffs: CoeffMap, v: int, q: int) -> int:
-    a = coeffs.enc(v)
-    minus_one = coeffs.field.neg_enc(1)
-    return 2 * q - 1 if a == minus_one else q - 1
+def _memo_key(forest: Forest, values: dict[int, int], field: Field):
+    labels = apply_flips(field, values, forest.leafy_flips)
+    return canonical_form(forest, labels), field.q
 
 
 def _pick_leaf(forest: Forest) -> int:
@@ -55,41 +54,49 @@ def _pick_leaf(forest: Forest) -> int:
                key=lambda f: forest.degree(forest.adjacency[f][0]))
 
 
-def _count_tree(forest: Forest, coeffs: CoeffMap, field, memo: dict) -> int:
+def _count_tree(forest: Forest, values: dict[int, int], field: Field,
+                memo: dict) -> int:
     q = field.q
     n = forest.n_vertices
     if n == 0:
         return 1
     if n == 1:
-        return _single_vertex_count(coeffs, forest.vertices[0], q)
-    key = _memo_key(forest, coeffs, q)
+        minus_one = field.neg_enc(1)
+        return 2 * q - 1 if values[forest.vertices[0]] == minus_one else q - 1
+    key = _memo_key(forest, values, field)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    total = sum(_split_counts(forest, coeffs, _pick_leaf(forest), field, memo))
+    total = sum(_split_counts(forest, values, _pick_leaf(forest), field, memo))
     memo[key] = total
     return total
 
 
-def _split_counts(forest: Forest, coeffs: CoeffMap, leaf: int, field,
-                  memo: dict) -> tuple[int, int]:
+def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
+                  field: Field, memo: dict) -> tuple[int, int]:
     """(zero part, nonzero part) of the split at `leaf`; see
     `leaf_split_counts`."""
-    q = field.q
-    split = leaf_removal_transforms(forest, coeffs, leaf)
-    zero_part = q * _count_forest(split.doubleprimed_forest,
-                                  split.doubleprimed_coeffs, field, memo)
-    nonzero_part = sum(
-        _count_forest(split.primed.forest, split.primed.at(beta), field, memo)
-        for beta in range(1, q))
+    g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
+        forest, CoeffMap(field, values), leaf)
+    zero_part = field.q * _count_forest(t_double, double, field, memo)
+    a_g, mul = primed[g], field.mul_enc
+    nonzero_part = 0
+    for beta in range(1, field.q):
+        child = dict(primed)
+        child[g] = mul(a_g, beta)
+        nonzero_part += _count_forest(t_primed, child, field, memo)
     return zero_part, nonzero_part
 
 
-def _count_forest(forest: Forest, coeffs: CoeffMap, field, memo: dict) -> int:
+def _count_forest(forest: Forest, values: dict[int, int], field: Field,
+                  memo: dict) -> int:
+    comps = forest.components()
+    if len(comps) == 1:
+        return _count_tree(forest, values, field, memo)
     total = 1
-    for comp in forest.components():
-        sub = forest.induced(comp)
-        total *= _count_tree(sub, coeffs.restrict(comp), field, memo)
+    for comp in comps:
+        total *= _count_tree(forest.induced(comp),
+                             {v: values[v] for v in comp}, field, memo)
     return total
 
 
@@ -105,8 +112,8 @@ def recursive_count(instance: VarietyInstance,
             raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
     start = time.perf_counter()
     memo = {} if memo is None else memo
-    total = _count_forest(instance.forest, instance.coeffs, instance.field,
-                          memo)
+    total = _count_forest(instance.forest, instance.coeffs.values,
+                          instance.field, memo)
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(instance.descriptor(), instance.field.q, "recursion",
                        total, elapsed_ms=elapsed)
@@ -117,5 +124,5 @@ def leaf_split_counts(instance: VarietyInstance, leaf: int,
     """The two terms of the recursion at `leaf`: (count of the locus where
     the leaf variable vanishes, count where it is invertible)."""
     memo = {} if memo is None else memo
-    return _split_counts(instance.forest, instance.coeffs, leaf,
+    return _split_counts(instance.forest, instance.coeffs.values, leaf,
                          instance.field, memo)

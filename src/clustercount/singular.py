@@ -15,9 +15,8 @@ triangular with invertible diagonal).  The scan uses that as a prefilter,
 which `prefilter=False` disables for cross-checking.
 
 The search runs on integer encodings end to end: it reads each listed
-point's `xs` and `xps` tuples, and a `PointRecord` builds its
-`FieldElement` dicts only when a caller reads `x` or `xp`.  `rank` reduces
-to echelon form only (rows below each pivot), which is all the rank needs.
+point's `xs` and `xps` tuples.  `rank` reduces to echelon form only (rows
+below each pivot), which is all the rank needs.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .gf import Field
 
 
 def verify_point(instance: VarietyInstance, record: PointRecord) -> bool:
-    if record.vertices != instance.forest.vertices:
+    if (record.vertices != instance.forest.vertices
+            or record.field != instance.field):
         return False
     fld = instance.field
     rs = vertex_rule(fld, *instance.scan_arrays, record.xs)

@@ -17,8 +17,8 @@ from .coeffs import CoeffMap, flip, normalize
 from .counting import (VarietyInstance, brute_count, check_z_fibration,
                        count_Y, count_Z, normal_form_instance)
 from .forests import Forest, dynkin, leafy_tiling
-from .formulas import (epoly_check, formula_count_params, formula_Y,
-                       formula_Z, _a_odd_generic)
+from .formulas import (branches_for, epoly_check, formula_count_params,
+                       formula_Y, formula_Z)
 from .gf import field_from_order, field_make
 from .qpoly import FamilyPolicy, fit_and_verify
 from .recursion import recursive_count
@@ -56,11 +56,16 @@ def _battery(name, checks):
 
 
 def _three_way(dynkin_type, rank, field, params, memo):
+    """Brute and recursive counts, and the formula report with its branch."""
     inst = normal_form_instance(field, dynkin_type, rank, params)
     b = brute_count(inst).count
     r = recursive_count(inst, memo).count
-    f = formula_count_params(dynkin_type, rank, field, params).count
-    return b, r, f
+    return b, r, formula_count_params(dynkin_type, rank, field, params)
+
+
+def _branch(dynkin_type, rank, branch_id):
+    return next(b for b in branches_for(dynkin_type, rank)
+                if b.branch_id == branch_id)
 
 
 def suite_type_a() -> SuiteResult:
@@ -76,16 +81,13 @@ def suite_type_a() -> SuiteResult:
                 param_sets = ([()] if n % 2 == 0
                               else [(a,) for a in range(1, q)])
                 for ps in param_sets:
-                    b, r, f = _three_way("A", n, field, ps, memo)
-                    yield (f"A{n} q={q} params={ps}: {b}/{r}/{f}",
-                           b == r == f)
-                    if n % 2 == 1:
-                        special = (field.neg_enc(1)
-                                   if ((n + 1) // 2) % 2 else 1)
-                        if ps[0] == special:
-                            gap = b - _a_odd_generic(n, q)
-                            yield (f"A{n} q={q} special gap {gap}",
-                                   gap == q ** ((n + 1) // 2))
+                    b, r, rep = _three_way("A", n, field, ps, memo)
+                    yield (f"A{n} q={q} params={ps}: {b}/{r}/{rep.count}",
+                           b == r == rep.count)
+                    if rep.branch == "A-odd-special":
+                        gap = b - _branch("A", n, "A-odd-generic").count(n, q)
+                        yield (f"A{n} q={q} special gap {gap}",
+                               gap == q ** ((n + 1) // 2))
 
     return _battery("type-A formula battery", checks())
 
@@ -106,10 +108,7 @@ def suite_type_d() -> SuiteResult:
                 else:
                     psets = [(a, b) for a in range(1, q) for b in range(1, q)]
                 for ps in psets:
-                    inst = normal_form_instance(field, "D", n, ps)
-                    b = brute_count(inst).count
-                    r = recursive_count(inst, memo).count
-                    rep = formula_count_params("D", n, field, ps)
+                    b, r, rep = _three_way("D", n, field, ps, memo)
                     seen_branches.add(rep.branch)
                     yield (f"D{n} q={q} params={ps}: {b}/{r}/{rep.count}",
                            b == r == rep.count)
@@ -145,8 +144,9 @@ def suite_type_e() -> SuiteResult:
                     yield (f"E{rank} q={q} alpha={a}: {b}/{r}/{fc}",
                            b == r == fc)
             for a in range(1, q):
-                b, r, fc = _three_way("E", 7, field, (a,), memo)
-                yield (f"E7 q={q} alpha={a}: {b}/{r}/{fc}", b == r == fc)
+                b, r, rep = _three_way("E", 7, field, (a,), memo)
+                yield (f"E7 q={q} alpha={a}: {b}/{r}/{rep.count}",
+                       b == r == rep.count)
 
     return _battery("type-E formula battery", checks())
 
@@ -243,18 +243,15 @@ def suite_smoothness() -> SuiteResult:
                     inst = VarietyInstance(forest,
                                            CoeffMap.make(field, values), field)
                     pts = singular_points(inst)
-                    if n % 2 == 0:
-                        expect = 0
-                    else:
-                        special = (field.neg_enc(1)
-                                   if ((n + 1) // 2) % 2 else 1)
-                        expect = 1 if a == special else 0
+                    expect = int(n % 2 == 1 and _branch(
+                        "A", n, "A-odd-special").predicate((a,), field))
                     yield (f"A{n} q={q} alpha={a}: {len(pts)} singular, "
                            f"expected {expect}", len(pts) == expect)
                     for p in pts:
                         odd_zero = all(
-                            p.x[v].code == 0 and p.xp[v].code == 0
-                            for v in forest.vertices if v % 2 == 1)
+                            x == 0 and xp == 0
+                            for v, x, xp in zip(p.vertices, p.xs, p.xps)
+                            if v % 2 == 1)
                         yield (f"A{n} q={q} alpha={a}: odd coordinates "
                                "nonzero at singular point", odd_zero)
 
@@ -319,14 +316,14 @@ def suite_prime_power() -> SuiteResult:
                 psets = ([()] if n % 2 == 0
                          else [(a,) for a in range(1, q)])
                 for ps in psets:
-                    b, r, f = _three_way("A", n, field, ps, memo)
-                    yield (f"A{n} over F_{q} params={ps}: {b}/{r}/{f}",
-                           b == r == f)
+                    b, r, rep = _three_way("A", n, field, ps, memo)
+                    yield (f"A{n} over F_{q} params={ps}: {b}/{r}/{rep.count}",
+                           b == r == rep.count)
             for a in range(1, q):
                 for bb in range(1, q):
-                    br, rr, fr = _three_way("D", 4, field, (a, bb), memo)
+                    br, rr, rep = _three_way("D", 4, field, (a, bb), memo)
                     yield (f"D4 over F_{q} params=({a},{bb}): "
-                           f"{br}/{rr}/{fr}", br == rr == fr)
+                           f"{br}/{rr}/{rep.count}", br == rr == rep.count)
 
     return _battery("prime-power sanity battery", checks())
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from clustercount import CoeffMap, Forest, VarietyInstance
+from clustercount import CoeffMap, FieldElement, Forest, VarietyInstance
 
 
 def naive_count(instance: VarietyInstance) -> int:
@@ -33,13 +33,17 @@ def naive_count(instance: VarietyInstance) -> int:
 
 
 def record_satisfies(instance: VarietyInstance, record) -> bool:
-    """Re-verify one point record against the equations, via element ops."""
-    one = instance.field.one()
+    """Re-verify one point record against the equations, via element ops on
+    `FieldElement`s built here from the record's encodings."""
+    fld = instance.field
+    x = {v: FieldElement(fld, c) for v, c in zip(record.vertices, record.xs)}
+    xp = {v: FieldElement(fld, c) for v, c in zip(record.vertices, record.xps)}
+    one = fld.one()
     for t in instance.forest.vertices:
         rhs = instance.coeffs.get(t)
         for s in instance.forest.adjacency[t]:
-            rhs = rhs * record.x[s]
-        if record.x[t] * record.xp[t] != one + rhs:
+            rhs = rhs * x[s]
+        if x[t] * xp[t] != one + rhs:
             return False
     return True
 

@@ -167,6 +167,17 @@ class TestOtherCommands:
         pt = payload["singular_points"][0]
         assert pt["x"] == {"1": "0", "2": "6", "3": "0"}
 
+    def test_singular_extension_field_digits(self, capsys):
+        # A3 over F_9 with its special alpha = 1: the singular point has
+        # x_2 = x'_2 = -1, printed as its base-3 digits low degree first
+        code, out, _ = run_cli(capsys, "singular", "--type", "A", "--rank",
+                               "3", "--alpha", "1", "--q", "9")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["count"] == 1
+        coords = {"1": "0,0", "2": "2,0", "3": "0,0"}
+        assert payload["singular_points"] == [{"x": coords, "xp": coords}]
+
     def test_interpolate(self, capsys):
         code, out, _ = run_cli(capsys, "interpolate", "--type", "D", "--rank",
                                "4", "--branch", "generic", "--degree", "4")

@@ -191,26 +191,26 @@ class TestLeafRemoval:
     def test_a3_transforms(self):
         f = dynkin("A", 3)
         F5 = field_make(5)
-        split = leaf_removal_transforms(f, CoeffMap.ones(F5, f), 1)
-        assert split.neighbor == 2
-        assert split.primed.forest.vertices == (2, 3)
-        assert split.primed.at(3).enc(2) == 3  # alpha_g * beta
-        assert split.primed.at(3).enc(3) == 1
-        assert split.doubleprimed_forest.vertices == (3,)
-        assert split.doubleprimed_coeffs.enc(3) == 4  # -1
+        g, (t1, a1), (t2, a2) = leaf_removal_transforms(
+            f, CoeffMap.ones(F5, f), 1)
+        assert g == 2
+        assert t1.vertices == (2, 3)
+        assert _beta_child(F5, a1, g, 3) == {2: 3, 3: 1}  # alpha_g * beta
+        assert t2.vertices == (3,)
+        assert a2 == {3: 4}  # -1
 
     def test_d4_fork_leaf(self):
         f = dynkin("D", 4)
         F7 = field_make(7)
         a, b = 3, 5
         cm = CoeffMap.make(F7, {1: a, 2: b, 3: 1, 4: 1})
-        split = leaf_removal_transforms(f, cm, 1)
-        assert split.neighbor == 3
-        assert split.doubleprimed_forest.vertices == (2, 4)
-        assert split.doubleprimed_forest.edges == ()
+        g, _, (t2, a2) = leaf_removal_transforms(f, cm, 1)
+        assert g == 3
+        assert t2.vertices == (2, 4)
+        assert t2.edges == ()
         inv_a = pow(a, -1, 7)
-        assert split.doubleprimed_coeffs.enc(2) == (-b * inv_a) % 7
-        assert split.doubleprimed_coeffs.enc(4) == (-inv_a) % 7
+        assert a2[2] == (-b * inv_a) % 7
+        assert a2[4] == (-inv_a) % 7
 
     def test_not_a_leaf(self):
         f = dynkin("A", 3)
@@ -233,17 +233,21 @@ class TestLeafRemoval:
             F = field_make(q)
             cm = random_coeffs(rng, F, f)
             leaf = rng.choice([v for v in f.vertices if f.degree(v) == 1])
-            split = leaf_removal_transforms(f, cm, leaf)
-            total = q * _forest_count(split.doubleprimed_forest,
-                                      split.doubleprimed_coeffs, F)
+            g, (t1, a1), (t2, a2) = leaf_removal_transforms(f, cm, leaf)
+            total = q * _forest_count(t2, a2, F)
             for beta in range(1, q):
-                total += _forest_count(split.primed.forest,
-                                       split.primed.at(beta), F)
+                total += _forest_count(t1, _beta_child(F, a1, g, beta), F)
             assert total == brute_count(VarietyInstance(f, cm, F)).count
 
 
-def _forest_count(forest, coeffs, field):
-    return brute_count(VarietyInstance(forest, coeffs, field)).count
+def _beta_child(field, values, g, beta):
+    """The encodings on T - f with the coefficient at g multiplied by beta."""
+    return values | {g: field.mul_enc(values[g], beta)}
+
+
+def _forest_count(forest, values, field):
+    return brute_count(
+        VarietyInstance(forest, CoeffMap(field, values), field)).count
 
 
 def test_parse_coeff_text():

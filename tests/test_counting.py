@@ -7,7 +7,7 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
 from clustercount import _countpy, counting
-from clustercount.counting import PointRecord, estimate_ops
+from clustercount.counting import estimate_ops
 from clustercount.errors import BudgetExceeded
 from clustercount.recursion import recursive_count
 
@@ -155,18 +155,18 @@ class TestBruteCount:
 class TestBrutePoints:
     def test_a1_listing(self):
         inst = _instance("A", 1, field_make(3))
-        pts = [(p.x[1].code, p.xp[1].code) for p in brute_points(inst)]
-        assert pts == [(1, 2), (2, 1)]
+        pts = [(p.xs, p.xps) for p in brute_points(inst)]
+        assert pts == [((1,), (2,)), ((2,), (1,))]
 
     def test_a1_special_listing_q2(self):
         inst = _instance("A", 1, field_make(2), {1: -1})
-        pts = [(p.x[1].code, p.xp[1].code) for p in brute_points(inst)]
-        assert pts == [(0, 0), (0, 1), (1, 0)]
+        pts = [(p.xs, p.xps) for p in brute_points(inst)]
+        assert pts == [((0,), (0,)), ((0,), (1,)), ((1,), (0,))]
 
     def test_a0_single_empty_record(self):
         pts = list(brute_points(_instance("A", 0, field_make(3))))
         assert len(pts) == 1
-        assert pts[0].x == {}
+        assert (pts[0].vertices, pts[0].xs, pts[0].xps) == ((), (), ())
 
     def test_records_satisfy_equations_and_count(self):
         rng = random.Random(10)
@@ -209,12 +209,13 @@ class TestBrutePoints:
         scalar = [[p.key() for p in brute_points(inst)] for inst in cases]
         assert table == scalar
 
-    def test_records_from_codes_match_dict_records(self):
+    def test_records_carry_vertices_and_field(self):
         inst = _instance("D", 4, field_from_order(4))
         for rec in brute_points(inst):
             assert rec.key() == (rec.xs, rec.xps)
-            assert set(rec.x) == set(rec.xp) == set(inst.forest.vertices)
-            assert PointRecord(rec.x, rec.xp) == rec
+            assert rec.vertices == inst.forest.vertices
+            assert rec.field == inst.field
+            assert len(rec.xs) == len(rec.xps) == inst.n
 
     def test_deterministic_order(self):
         inst = _instance("A", 2, field_make(3))

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from clustercount import brute_count, field_from_order, field_make, normal_form_instance
+from clustercount import (CoeffMap, brute_count, field_from_order, field_make,
+                          normal_form_instance)
 from clustercount.errors import BadParity, NotNormalized, UnsupportedType
 from clustercount.formulas import (branches_for, cohomology_table, epoly_check, exact_div,
                                    formula_count, formula_count_params,
@@ -97,7 +98,7 @@ class TestDispatch:
     def test_not_normalized_rejected(self):
         F5 = field_make(5)
         inst = normal_form_instance(F5, "A", 4)
-        bad = inst.coeffs.with_value(2, 3)
+        bad = CoeffMap(F5, inst.coeffs.values | {2: 3})
         with pytest.raises(NotNormalized):
             formula_count("A", 4, bad, F5)
 

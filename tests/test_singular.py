@@ -6,16 +6,16 @@ from clustercount import (CoeffMap, VarietyInstance, brute_points, dynkin,
                           field_from_order, field_make, normal_form_instance)
 from clustercount.counting import PointRecord
 from clustercount.errors import PointNotOnVariety
-from clustercount.gf import FieldElement
 from clustercount.singular import (all_minors_vanish, jacobian_at, rank,
-                                   singular_points)
+                                   singular_points, verify_point)
 
 from helpers import random_coeffs, random_tree
 
 
 def _record(field, xs, xps):
-    return PointRecord({v: FieldElement(field, c) for v, c in xs.items()},
-                       {v: FieldElement(field, c) for v, c in xps.items()})
+    vs = tuple(sorted(xs))
+    return PointRecord(vs, field, tuple(xs[v] for v in vs),
+                       tuple(xps[v] for v in vs))
 
 
 class TestJacobian:
@@ -39,17 +39,17 @@ class TestJacobian:
         inst = normal_form_instance(F7, "A", 3, (3,))
         rec = next(iter(brute_points(inst)))
         J = jacobian_at(inst, rec)
-        assert J[0][0] == rec.xp[1].code
+        assert J[0][0] == rec.xps[0]
         assert J[0][1] == (-3) % 7
         assert J[0][2] == 0
-        assert J[0][3] == rec.x[1].code
+        assert J[0][3] == rec.xs[0]
         assert J[0][4] == J[0][5] == 0
 
     def test_full_rank_at_all_nonzero_point(self):
         F3 = field_make(3)
         inst = normal_form_instance(F3, "A", 2)
         recs = [r for r in brute_points(inst)
-                if all(not v.is_zero() for v in r.x.values())]
+                if 0 not in r.xs]
         assert recs
         for r in recs:
             assert rank(jacobian_at(inst, r), F3) == 2
@@ -61,6 +61,13 @@ class TestJacobian:
             jacobian_at(inst, _record(F3, {1: 0}, {1: 0}))
         with pytest.raises(PointNotOnVariety):  # a point of another forest
             jacobian_at(inst, _record(F3, {2: 1}, {2: 2}))
+        # a point of A1 over F_5 whose encodings also solve the F_7 equation
+        F5, F7 = field_make(5), field_make(7)
+        inst7 = normal_form_instance(F7, "A", 1, (1,))
+        assert verify_point(inst7, _record(F7, {1: 1}, {1: 2}))
+        assert not verify_point(inst7, _record(F5, {1: 1}, {1: 2}))
+        with pytest.raises(PointNotOnVariety):
+            jacobian_at(inst7, _record(F5, {1: 1}, {1: 2}))
 
 
 class TestRank:
@@ -125,15 +132,16 @@ class TestSingularPoints:
     def test_a1_special_unique_origin(self):
         inst = normal_form_instance(field_make(5), "A", 1, (-1,))
         pts = singular_points(inst)
-        assert [(p.x[1].code, p.xp[1].code) for p in pts] == [(0, 0)]
+        assert [p.key() for p in pts] == [((0,), (0,))]
 
     def test_a3_special_unique_point(self):
         inst = normal_form_instance(field_make(5), "A", 3, (1,))
         pts = singular_points(inst)
         assert len(pts) == 1
         p = pts[0]
-        assert {v: p.x[v].code for v in (1, 2, 3)} == {1: 0, 2: 4, 3: 0}
-        assert {v: p.xp[v].code for v in (1, 2, 3)} == {1: 0, 2: 4, 3: 0}
+        assert p.vertices == (1, 2, 3)
+        assert p.xs == (0, 4, 0)
+        assert p.xps == (0, 4, 0)
 
     def test_a4_smooth(self):
         F3 = field_make(3)
