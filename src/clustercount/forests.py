@@ -105,11 +105,8 @@ class Forest:
         return tuple(comps)
 
     def induced(self, keep) -> "Forest":
-        """The subforest on `keep`; `self` itself (with its cached plans)
-        when `keep` covers every vertex."""
+        """The subforest on the vertices in `keep`."""
         keep = set(keep)
-        if keep.issuperset(self.vertices):
-            return self
         return Forest(
             tuple(v for v in self.vertices if v in keep),
             tuple(e for e in self.edges if e[0] in keep and e[1] in keep),

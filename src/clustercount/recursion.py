@@ -17,9 +17,11 @@ so the memo grows linearly in q (with every normal-form parameter 2: q + 1
 entries for A4, q + 2 for D5, 3q + 1 for E8) and the time about as q^2.
 
 The recursion carries a forest, its coefficient encodings as a plain
-{vertex: encoding} dict, and the field.  A beta child costs one copy of
-the dict on T - f with a_g * beta written at g (`Field.mul_enc`), and one
-memo key.  A dict is split per component only when its forest has more
+{vertex: encoding} dict, and the field.  The beta children's coefficients
+at g are a_g * beta; as beta runs over F_q^*, so does a_g * beta (a_g is
+invertible, since every coefficient is), so the sum writes beta itself
+at g.  A beta child then costs one copy of the dict on T - f and one memo
+key.  A dict is split per component only when its forest has more
 than one, which T - f, a tree, never has; so all q - 1 beta children share
 the one forest object T - f, and what a key needs of the forest is
 computed once and cached on it: its components, the flips of `normalize`
@@ -79,11 +81,10 @@ def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
     g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
         forest, CoeffMap(field, values), leaf)
     zero_part = field.q * _count_forest(t_double, double, field, memo)
-    a_g, mul = primed[g], field.mul_enc
     nonzero_part = 0
     for beta in range(1, field.q):
         child = dict(primed)
-        child[g] = mul(a_g, beta)
+        child[g] = beta
         nonzero_part += _count_forest(t_primed, child, field, memo)
     return zero_part, nonzero_part
 
@@ -100,6 +101,12 @@ def _count_forest(forest: Forest, values: dict[int, int], field: Field,
     return total
 
 
+def _require_invertible(instance: VarietyInstance) -> None:
+    for v in instance.forest.vertices:
+        if instance.coeffs.enc(v) == 0:
+            raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
+
+
 def recursive_count(instance: VarietyInstance,
                     memo: dict | None = None) -> CountReport:
     """Exact point count by the leaf-removal recursion.
@@ -107,9 +114,7 @@ def recursive_count(instance: VarietyInstance,
     Passing a shared `memo` dict across calls reuses normalized sub-variety
     counts between related instances.
     """
-    for v in instance.forest.vertices:
-        if instance.coeffs.enc(v) == 0:
-            raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
+    _require_invertible(instance)
     start = time.perf_counter()
     memo = {} if memo is None else memo
     total = _count_forest(instance.forest, instance.coeffs.values,
@@ -122,7 +127,9 @@ def recursive_count(instance: VarietyInstance,
 def leaf_split_counts(instance: VarietyInstance, leaf: int,
                       memo: dict | None = None) -> tuple[int, int]:
     """The two terms of the recursion at `leaf`: (count of the locus where
-    the leaf variable vanishes, count where it is invertible)."""
+    the leaf variable vanishes, count where it is invertible).  Every
+    coefficient must be invertible, as in `recursive_count`."""
+    _require_invertible(instance)
     memo = {} if memo is None else memo
     return _split_counts(instance.forest, instance.coeffs.values, leaf,
                          instance.field, memo)

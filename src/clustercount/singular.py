@@ -1,4 +1,4 @@
-"""Jacobian of the defining equations and exhaustive singular-point search.
+"""Jacobian of the defining equations, and two singular-point searches.
 
 With f_t = x_t x'_t - 1 - alpha_t * prod(neighbors), the Jacobian rows are
 indexed by vertices and the 2n columns by (x_1..x_n, x'_1..x'_n):
@@ -8,22 +8,40 @@ indexed by vertices and the 2n columns by (x_1..x_n, x'_1..x'_n):
     df_t/dx_u  = -alpha_t * prod over s ~ t, s != u of x_s   (u ~ t)
 
 A point is singular when the rank drops below the number of equations.
-On the variety, any point where no vertex has x_t = x'_t = 0 is provably
-smooth (choose the x'-column where x_t != 0 and the x-column elsewhere:
-the vanishing x-vertices form an independent set, so the chosen minor is
-triangular with invertible diagonal).  The scan uses that as a prefilter,
-which `prefilter=False` disables for cross-checking.
+At a point of the variety let Z = {t : x_t = 0}, Z_0 = {t in Z : x'_t = 0}
+and nu(Z_0) the size of a maximum matching of Z_0 into its neighbours in
+the forest.  Then
 
-The search runs on integer encodings end to end: it reads each listed
-point's `xs` and `xps` tuples.  `rank` reduces to echelon form only (rows
-below each pivot), which is all the rank needs.
+    rank J = n - |Z_0| + nu(Z_0)        (`matching_rank`)
+
+- Column x'_t holds x_t in row t and zeros elsewhere, so each row with
+  x_t != 0 adds one to the rank.  Z is independent (x_t = 0 forces every
+  neighbour nonzero), so among the rows of Z, column x_t holds only x'_t
+  in row t, and each row of Z - Z_0 adds one too.
+- A row t of Z_0 has 1 + alpha_t * prod = 0, so its entry in each
+  neighbour column s is 1/x_s, and it is zero elsewhere: the rows of Z_0
+  form a column-scaled biadjacency matrix of a forest.
+- A forest has at most one perfect matching, so each square minor of that
+  matrix is 0 or a signed product of nonzero entries, and its rank is the
+  matching number over any field.
+
+So a point is singular exactly when Z_0 fails Hall's condition.
+
+Two searches use this.  `singular_points` is the exhaustive one: it lists
+every point and ranks the Jacobian by elimination (`rank`), skipping
+the points with Z_0 empty, which the formula shows are smooth; that
+prefilter is what `prefilter=False` disables for cross-checking.
+`matching_singular_points` never builds a Jacobian: it lists the
+independent sets that fail Hall's condition and, for each, the points
+whose Z_0 is exactly that set.  Both run on integer encodings end to end.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .counting import PointRecord, VarietyInstance, brute_points, vertex_rule
+from .counting import (PointRecord, VarietyInstance, _check_budget,
+                       brute_points, vertex_rule)
 from .errors import PointNotOnVariety
 from .gf import Field
 
@@ -155,4 +173,128 @@ def singular_points(instance: VarietyInstance, *, budget: int | None = None,
             continue
         if rank(jacobian_at(instance, rec), instance.field) < n:
             out.append(rec)
+    return sorted(out, key=lambda r: r.key())
+
+
+# ---------------------------------------------------------------------------
+# the matching criterion
+# ---------------------------------------------------------------------------
+
+def _matching_number(group, nbrs: list[list[int]]) -> int:
+    """Size of a maximum matching of the positions `group` into their
+    neighbours, by augmenting paths."""
+    partner: dict[int, int] = {}
+
+    def augment(t, seen):
+        for u in nbrs[t]:
+            if u not in seen:
+                seen.add(u)
+                if u not in partner or augment(partner[u], seen):
+                    partner[u] = t
+                    return True
+        return False
+
+    return sum(augment(t, set()) for t in group)
+
+
+def matching_rank(instance: VarietyInstance, record: PointRecord) -> int:
+    """The Jacobian's rank at `record` by the formula n - |Z_0| + nu(Z_0)."""
+    if not verify_point(instance, record):
+        raise PointNotOnVariety("record violates a defining equation")
+    z0 = [t for t, (x, xp) in enumerate(zip(record.xs, record.xps))
+          if x == 0 and xp == 0]
+    return instance.n - len(z0) + _matching_number(z0, instance.scan_arrays[1])
+
+
+def _hall_violators(alpha: list[int], nbrs: list[list[int]]):
+    """Every independent set of positions, with alpha nonzero on it, that
+    has fewer matched positions than members (a sorted list each)."""
+    n = len(alpha)
+
+    def grow(t, chosen, blocked):
+        if t == n:
+            if _matching_number(chosen, nbrs) < len(chosen):
+                yield chosen
+            return
+        yield from grow(t + 1, chosen, blocked)
+        if alpha[t] and t not in blocked:
+            yield from grow(t + 1, chosen + [t], blocked | set(nbrs[t]))
+
+    return grow(0, [], frozenset())
+
+
+def _vanishing_assignments(fld: Field, alpha: list[int],
+                           nbrs: list[list[int]], zero: list[int]):
+    """x-assignments (one list, refilled in place) that vanish on `zero`,
+    among them all that have 1 + alpha_t * prod over s ~ t of x_s = 0 at
+    each t in it.  The value at the last neighbour of each such t is
+    solved for, not scanned; the other neighbours of `zero` run over
+    F_q^*, the rest of the vertices over F_q.  An isolated t is left to
+    the caller's `vertex_rule`."""
+    n, q = len(alpha), fld.q
+    mul, inv = fld.mul_enc, fld.inv_enc
+    closes: dict[int, list[int]] = {}
+    for t in zero:
+        if nbrs[t]:
+            closes.setdefault(max(nbrs[t]), []).append(t)
+    near = {u for t in zero for u in nbrs[t]}
+    members = set(zero)
+    xs = [0] * n
+
+    def solved(u, t):
+        """x_u with alpha_t * prod over s ~ t of x_s = -1."""
+        prod = alpha[t]
+        for s in nbrs[t]:
+            if s != u:
+                prod = mul(prod, xs[s])
+        return fld.neg_enc(inv(prod))
+
+    def fill(u):
+        if u == n:
+            yield xs
+            return
+        if u in members:
+            yield from fill(u + 1)
+            return
+        if u in closes:
+            need = {solved(u, t) for t in closes[u]}
+            values = need if len(need) == 1 else ()
+        else:
+            values = range(1 if u in near else 0, q)
+        for x in values:
+            xs[u] = x
+            yield from fill(u + 1)
+
+    yield from fill(0)
+
+
+def matching_singular_points(instance: VarietyInstance, *,
+                             budget: int | None = None) -> list[PointRecord]:
+    """The points where the Jacobian rank drops below the equation count,
+    found by the matching criterion without a Jacobian: for each
+    independent set S that fails Hall's condition, the points whose Z_0 is
+    exactly S.  Those are the points that vanish on S with x' = 0 there,
+    solve 1 + alpha_t * prod x_s = 0 at each t in S, and have x'_t != 0
+    wherever x_t = 0 outside S.  Each point has one Z_0, so it is listed
+    once.  Same budget precondition and output, sorted by coordinates, as
+    `singular_points`."""
+    fld = instance.field
+    q = fld.q
+    vs = instance.forest.vertices
+    _check_budget(len(vs), q, budget)
+    alpha, nbrs = instance.scan_arrays
+    mul, inv = fld.mul_enc, fld.inv_enc
+    out = []
+    for zero in _hall_violators(alpha, nbrs):
+        members = set(zero)
+        for xs in _vanishing_assignments(fld, alpha, nbrs, zero):
+            rs = vertex_rule(fld, alpha, nbrs, xs)
+            if rs is None:
+                continue
+            xps = [mul(r, inv(x)) if x else 0 for r, x in zip(rs, xs)]
+            free = [t for t, x in enumerate(xs) if x == 0 and t not in members]
+            for combo in itertools.product(range(1, q), repeat=len(free)):
+                for slot, val in zip(free, combo):
+                    xps[slot] = val
+                out.append(PointRecord(vs, fld, tuple(xs), tuple(xps)))
     return sorted(out, key=lambda r: r.key())

@@ -63,7 +63,8 @@ def test_criterion_06_z_fibration():
 def test_criterion_07_smoothness_classification():
     # n <= 6, q in {2,3,5,7}, all unit leading coefficients: singular
     # counts match the parity/special-value classification, odd
-    # coordinates vanish at the unique singular point
+    # coordinates vanish at the unique singular point; the points come from
+    # the matching criterion (independent sets failing Hall's condition)
     _run("smoothness", time_limit=60)
 
 

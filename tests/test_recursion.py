@@ -146,6 +146,17 @@ def test_zero_coefficient_rejected():
         recursive_count(VarietyInstance(f, cm, F))
 
 
+def test_split_zero_coefficient_rejected():
+    # the beta sum writes beta itself at the leaf's neighbour g, which is
+    # the sum over a_g * beta only when a_g is invertible
+    f = dynkin("A", 3)
+    F = field_make(3)
+    for values in ({1: 1, 2: 0, 3: 1}, {1: 1, 2: 1, 3: 0}, {1: 0, 2: 1, 3: 1}):
+        inst = VarietyInstance(f, CoeffMap.make(F, values, allow_zero=True), F)
+        with pytest.raises(ZeroCoefficient):
+            leaf_split_counts(inst, 1)
+
+
 def test_memo_collapses_beta_branches():
     # large q: the beta sum has q - 1 = 30 branches per removal; normalized
     # keys merge them only to about one class per beta, q + 2 entries here

@@ -2,14 +2,39 @@ import random
 
 import pytest
 
-from clustercount import (CoeffMap, VarietyInstance, brute_points, dynkin,
-                          field_from_order, field_make, normal_form_instance)
+from clustercount import (CoeffMap, Forest, VarietyInstance, brute_points,
+                          dynkin, field_from_order, field_make,
+                          normal_form_instance)
 from clustercount.counting import PointRecord
-from clustercount.errors import PointNotOnVariety
-from clustercount.singular import (all_minors_vanish, jacobian_at, rank,
+from clustercount.errors import BudgetExceeded, PointNotOnVariety
+from clustercount.singular import (_hall_violators, all_minors_vanish,
+                                   jacobian_at, matching_rank,
+                                   matching_singular_points, rank,
                                    singular_points, verify_point)
 
-from helpers import random_coeffs, random_tree
+from helpers import random_tree
+
+ALL_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
+def _biased_instance(rng, field, forest, allow_zero=False):
+    """Coefficient -1, where singular points live, on a random half or more
+    of the vertices; the rest uniform over F_q^*, or over F_q with
+    `allow_zero`."""
+    vs = forest.vertices
+    minus_one = set(rng.sample(vs, rng.randint((len(vs) + 1) // 2, len(vs))))
+    low = 0 if allow_zero else 1
+    values = {v: field.neg_enc(1) if v in minus_one
+              else rng.randrange(low, field.q) for v in vs}
+    return VarietyInstance(
+        forest, CoeffMap.make(field, values, allow_zero=allow_zero), field)
+
+
+def _random_forest(rng, n):
+    """A random tree on 1..n with each edge kept with probability 3/4."""
+    tree = random_tree(rng, n)
+    return Forest.make(tree.vertices,
+                       [e for e in tree.edges if rng.random() < 0.75])
 
 
 def _record(field, xs, xps):
@@ -152,15 +177,16 @@ class TestSingularPoints:
 
     def test_prefilter_equals_full_scan(self):
         rng = random.Random(29)
+        found = 0
         for _ in range(30):
             n = rng.randint(1, 3)
-            q = rng.choice((2, 3, 5))
-            F = field_make(q)
-            f = random_tree(rng, n)
-            inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
+            F = field_from_order(rng.choice((2, 3, 4, 5, 8, 9)))
+            inst = _biased_instance(rng, F, random_tree(rng, n))
             fast = [p.key() for p in singular_points(inst)]
             slow = [p.key() for p in singular_points(inst, prefilter=False)]
             assert fast == slow
+            found += len(fast)
+        assert found >= 10
 
     def test_returned_points_satisfy_equations_and_minors(self):
         inst = normal_form_instance(field_make(3), "A", 3, (1,))
@@ -171,3 +197,82 @@ class TestSingularPoints:
             assert record_satisfies(inst, p)
             J = jacobian_at(inst, p)
             assert all_minors_vanish(J, field_make(3), 3)
+
+
+class TestMatchingCriterion:
+    def test_rank_formula_equals_elimination(self):
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(50):
+            F = field_from_order(rng.choice((2, 3, 4, 5, 8, 9)))
+            n = rng.randint(1, 3 if F.q <= 5 else 2)
+            inst = _biased_instance(rng, F, _random_forest(rng, n),
+                                    allow_zero=rng.random() < 0.3)
+            for p in brute_points(inst):
+                r = matching_rank(inst, p)
+                assert r == rank(jacobian_at(inst, p), F)
+                singular += r < n
+        assert singular > 30
+
+    def test_rank_formula_rejects_off_variety(self):
+        F3 = field_make(3)
+        inst = normal_form_instance(F3, "A", 1, (1,))
+        with pytest.raises(PointNotOnVariety):
+            matching_rank(inst, _record(F3, {1: 0}, {1: 0}))
+
+    def test_hall_violators(self):
+        # A3: only the two ends, which share their one neighbour
+        assert list(_hall_violators([1, 1, 1], [[1], [0, 2], [1]])) == [[0, 2]]
+        # the star K_{1,3} (centre 0): two or three leaves; a zero
+        # coefficient keeps its vertex out of every set
+        star = [[1, 2, 3], [0], [0], [0]]
+        assert sorted(_hall_violators([1, 1, 1, 1], star)) == [
+            [1, 2], [1, 2, 3], [1, 3], [2, 3]]
+        assert list(_hall_violators([1, 1, 0, 1], star)) == [[1, 3]]
+        # an isolated vertex fails on its own; A2 and A4 have no violator
+        assert list(_hall_violators([1], [[]])) == [[0]]
+        assert list(_hall_violators([1, 1], [[1], [0]])) == []
+        a4 = [[1], [0, 2], [1, 3], [2]]
+        assert list(_hall_violators([1] * 4, a4)) == []
+
+    def test_battery_family_matches_scan(self):
+        # A_n, every leading coefficient, 1 elsewhere: the smoothness
+        # battery's family, over prime and prime-power fields
+        found = 0
+        for q in ALL_Q:
+            F = field_from_order(q)
+            for n in range(1, 5):
+                f = dynkin("A", n)
+                for a in range(1, q):
+                    values = {v: 1 for v in f.vertices} | {1: a}
+                    inst = VarietyInstance(f, CoeffMap.make(F, values), F)
+                    fast = [p.key() for p in matching_singular_points(inst)]
+                    assert fast == [p.key() for p in singular_points(inst)]
+                    found += len(fast)
+        assert found == 14  # one at each special A1 and A3
+
+    def test_random_forests_match_scan(self):
+        rng = random.Random(37)
+        found = 0
+        for _ in range(200):
+            F = field_from_order(rng.choice(ALL_Q))
+            n = rng.randint(1, 5 if F.q <= 3 else 4 if F.q <= 5 else 3)
+            inst = _biased_instance(rng, F, _random_forest(rng, n),
+                                    allow_zero=rng.random() < 0.3)
+            fast = [p.key() for p in matching_singular_points(inst)]
+            assert fast == [p.key() for p in singular_points(inst)]
+            found += len(fast)
+        assert found > 500
+
+    def test_listed_points_are_singular(self):
+        inst = normal_form_instance(field_make(7), "A", 5, (-1,))
+        pts = matching_singular_points(inst)
+        assert [p.key() for p in pts] == [((0, 1, 0, 6, 0), (0, 1, 0, 6, 0))]
+        assert all(rank(jacobian_at(inst, p), inst.field) < 5 for p in pts)
+
+    def test_empty_forest_and_budget(self):
+        F5 = field_make(5)
+        assert matching_singular_points(normal_form_instance(F5, "A", 0)) == []
+        inst = normal_form_instance(F5, "A", 3, (1,))
+        with pytest.raises(BudgetExceeded):
+            matching_singular_points(inst, budget=10)
