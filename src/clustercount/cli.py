@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .coeffs import CoeffMap, normalize, read_coeff_file
@@ -54,6 +55,17 @@ def _parse_alpha_items(spec: str) -> list:
         else:
             items.append(int(part))
     return items
+
+
+def _glue_alpha(argv: list[str]) -> list[str]:
+    """Write `--alpha VALUE` as `--alpha=VALUE` when VALUE starts with '-'
+    and a digit: argparse reads a lone `-1,1,1` or `-1:1` as an option, so
+    both spellings mean the same."""
+    out = list(argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] == "--alpha" and re.match(r"-\d", out[i]):
+            out[i - 1:i + 1] = [f"--alpha={out[i]}"]
+    return out
 
 
 def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | None]:
@@ -278,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_alpha(sys.argv[1:] if argv is None
+                                         else argv))
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

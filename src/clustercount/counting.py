@@ -8,15 +8,15 @@ vertex t:
 Enumeration runs over x-assignments only: with r_t the right-hand side, a
 vertex contributes a factor 1 when x_t != 0 (x'_t is determined), a factor
 q when x_t = 0 and r_t = 0 (x'_t is free), and 0 otherwise.  `vertex_rule`
-states this rule once; `_countpy._rhs` is its vectorised form, used
-whenever the field has lookup tables, and the scalar scan covers larger
-fields and serves as the reference.  Counting goes through
-`_countpy.count_block`; point listing (`brute_points`) takes the live
-assignments and their determined x' from `_countpy.live_blocks`, both built
-on that one `_rhs`, and expands the free x' slots itself.  Each point is a
-`PointRecord`: the vertices and the field, with the x and x' encodings as
-tuples in vertex order; only a caller that prints a point or checks it
-with element arithmetic builds `FieldElement`s from them.
+states this rule once, and `_live_scalar` scans it over a range of
+assignment indices.  Every scalar count (`_count_scalar`) and every point
+listing (`brute_points`) is built on that one scan; the listing derives the
+determined x' from the right-hand sides and expands the free x' slots.
+`_countpy.count_block` is the vectorised count over fields with lookup
+tables (q <= TABLE_MAX_Q), and the scalar count is its reference.  Each
+point is a `PointRecord`: the vertices and the field, with the x and x'
+encodings as tuples in vertex order; only a caller that prints a point or
+checks it with element arithmetic builds `FieldElement`s from them.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -175,31 +175,24 @@ def _pick_engine(engine: str, field: Field) -> str:
     return engine
 
 
-def _count_scalar(instance: VarietyInstance, lo: int, hi: int) -> int:
-    """Reference scan with per-element field arithmetic; exact for any field."""
+def _live_scalar(instance: VarietyInstance, lo: int, hi: int):
+    """Yield (xs, rs) for the live x-assignments with index in [lo, hi), in
+    index order: `xs` the encodings in vertex order, the first vertex the
+    most significant base-q digit of the index, and `rs` their right-hand
+    sides by `vertex_rule`.  With n = 0 the one empty assignment is live."""
     fld = instance.field
-    q = fld.q
-    n = instance.n
-    if n == 0:
-        return hi - lo
     alpha, nbrs = instance.scan_arrays
-    total = 0
-    x = [0] * n
-    rem = lo
-    for t in range(n - 1, -1, -1):
-        x[t] = rem % q
-        rem //= q
-    for _ in range(lo, hi):
-        if vertex_rule(fld, alpha, nbrs, x) is not None:
-            total += q ** x.count(0)
-        t = n - 1
-        while t >= 0:
-            x[t] += 1
-            if x[t] < q:
-                break
-            x[t] = 0
-            t -= 1
-    return total
+    space = itertools.product(range(fld.q), repeat=instance.n)
+    for xs in itertools.islice(space, lo, hi):
+        rs = vertex_rule(fld, alpha, nbrs, xs)
+        if rs is not None:
+            yield xs, rs
+
+
+def _count_scalar(instance: VarietyInstance, lo: int, hi: int) -> int:
+    """Reference count with per-element field arithmetic; exact for any field."""
+    q = instance.field.q
+    return sum(q ** xs.count(0) for xs, _ in _live_scalar(instance, lo, hi))
 
 
 def _count_range(instance: VarietyInstance, engine: str, lo: int, hi: int) -> int:
@@ -250,47 +243,20 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
 
 def brute_points(instance: VarietyInstance, *, budget: int | None = None):
     """Yield every point, lexicographically in the x-assignment (vertex order,
-    then encoding order), with free x' slots expanded innermost.
-
-    With lookup tables (q <= TABLE_MAX_Q) the live assignments and their
-    determined x' come from `_countpy.live_blocks`; larger fields take the
-    scalar `vertex_rule` per assignment."""
+    then encoding order), with free x' slots expanded innermost.  The live
+    assignments come from `_live_scalar`; x'_t = r_t / x_t where x_t != 0."""
     fld = instance.field
     q = fld.q
     vs = instance.forest.vertices
-    n = len(vs)
-    _check_budget(n, q, budget)
-    if n == 0:
-        yield PointRecord(vs, fld, (), ())
-        return
-    alpha, nbrs = instance.scan_arrays
-    inv = fld.inv_table()
-    if q <= TABLE_MAX_Q:
-        blocks = _countpy.live_blocks(q, fld.mul_table(), fld.plus_one_table(),
-                                      inv, alpha, nbrs, 0, q**n)
-        live = ((tuple(xs), xps) for x, xp in blocks
-                for xs, xps in zip(x.T.tolist(), xp.T.tolist()))
-    else:
-        live = _live_scalar(fld, alpha, nbrs, inv, n)
-    for xs, xps in live:
-        if 0 not in xs:
-            yield PointRecord(vs, fld, xs, tuple(xps))
-            continue
+    _check_budget(len(vs), q, budget)
+    mul, inv = fld.mul_enc, fld.inv_table()
+    for xs, rs in _live_scalar(instance, 0, q ** len(vs)):
+        xps = [mul(r, inv[x]) for r, x in zip(rs, xs)]
         free = [t for t, x in enumerate(xs) if x == 0]
         for combo in itertools.product(range(q), repeat=len(free)):
             for slot, val in zip(free, combo):
                 xps[slot] = val
             yield PointRecord(vs, fld, xs, tuple(xps))
-
-
-def _live_scalar(fld: Field, alpha, nbrs, inv, n):
-    """The live x-assignments in index order with their determined x' (0 at
-    the free slots), by `vertex_rule`: the reference for `live_blocks`."""
-    mul = fld.mul_enc
-    for xs in itertools.product(range(fld.q), repeat=n):
-        rs = vertex_rule(fld, alpha, nbrs, xs)
-        if rs is not None:
-            yield xs, [mul(r, inv[x]) for r, x in zip(rs, xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +284,7 @@ def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:
                            field)
 
 
-def count_Y(n: int, field: Field, *, budget: int | None = None) -> CountReport:
+def count_Y(n: int, field: Field) -> CountReport:
     """Points of the union over invertible leading coefficients of the
     normal-form A_n varieties.  For n = 0 this is the punctured line, q - 1."""
     start = time.perf_counter()
@@ -326,20 +292,20 @@ def count_Y(n: int, field: Field, *, budget: int | None = None) -> CountReport:
     if n == 0:
         total = q - 1
     else:
-        total = sum(brute_count(_a_union_member(field, n, a),
-                                budget=budget).count for a in range(1, q))
+        total = sum(brute_count(_a_union_member(field, n, a)).count
+                    for a in range(1, q))
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Y_A{n} over {field!r}", q, "brute", total,
                        elapsed_ms=elapsed)
 
 
-def count_Z(n: int, field: Field, *, budget: int | None = None) -> CountReport:
+def count_Z(n: int, field: Field) -> CountReport:
     """Points of the union over ALL leading coefficients (zero included)."""
     if n < 1:
         raise ValueError("Z is defined for n >= 1")
     start = time.perf_counter()
     q = field.q
-    total = sum(brute_count(_a_union_member(field, n, a), budget=budget).count
+    total = sum(brute_count(_a_union_member(field, n, a)).count
                 for a in range(q))
     elapsed = (time.perf_counter() - start) * 1000
     return CountReport(f"Z_A{n} over {field!r}", q, "brute", total,
@@ -362,24 +328,23 @@ class FibrationReport:
     detail: str = ""
 
 
-def _z_points(n: int, field: Field, budget):
+def _z_points(n: int, field: Field):
     """Points of Z_A(n) as tuples (alpha, x tuple, x' tuple), encodings."""
     out = set()
     for a in range(field.q):
-        for rec in brute_points(_a_union_member(field, n, a), budget=budget):
+        for rec in brute_points(_a_union_member(field, n, a)):
             out.add((a, rec.xs, rec.xps))
     return out
 
 
-def check_z_fibration(n: int, field: Field, *,
-                      budget: int | None = None) -> FibrationReport:
+def check_z_fibration(n: int, field: Field) -> FibrationReport:
     """Project Z_A(n+1) onto Z_A(n) by dropping the first equation: the first
     x-variable becomes the leading coefficient and indices shift down.
     Verifies the image is inside Z_A(n), the map is onto, and every fiber
     has exactly q points."""
     q = field.q
-    source = _z_points(n + 1, field, budget)
-    target = _z_points(n, field, budget)
+    source = _z_points(n + 1, field)
+    target = _z_points(n, field)
     fibers: dict[tuple, int] = {t: 0 for t in target}
     for (a, xs, xps) in source:
         image = (xs[0], xs[1:], xps[1:])

@@ -10,6 +10,11 @@ so encodings are reproducible.
 Two layers are exposed: `Field` methods ending in `_enc` work directly on
 integer encodings (used by the enumeration kernels), and `FieldElement`
 wraps an encoding with operator overloading and field-membership checks.
+
+An extension-field product is computed once from the digits and then kept
+in the field's dict keyed a * q + b, so `mul_enc` costs a lookup after the
+first call on a pair.  `mul_table` builds its rows from the digits without
+filling that dict.
 """
 
 from __future__ import annotations
@@ -100,8 +105,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """A finite field F_q together with exact arithmetic on encodings."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_plus_one_table",
-                 "_inv_table")
+    __slots__ = ("p", "k", "q", "modulus", "_products", "_mul_table",
+                 "_plus_one_table", "_inv_table")
 
     def __init__(self, p: int, k: int = 1):
         if not isinstance(p, int) or not is_prime(p):
@@ -117,6 +122,7 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
+        self._products: dict[int, int] = {}
         self._mul_table = None
         self._plus_one_table = None
         self._inv_table = None
@@ -197,6 +203,14 @@ class Field:
     def mul_enc(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
+        key = a * self.q + b
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = self._mul_digits(a, b)
+        return out
+
+    def _mul_digits(self, a: int, b: int) -> int:
+        """The product of two extension-field encodings, from their digits."""
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(da):
@@ -258,7 +272,7 @@ class Field:
                 tab = np.zeros((q, q), dtype=np.int64)
                 for a in range(q):
                     for b in range(a, q):
-                        v = self.mul_enc(a, b)
+                        v = self._mul_digits(a, b)
                         tab[a, b] = v
                         tab[b, a] = v
                 self._mul_table = tab

@@ -88,25 +88,8 @@ def rank(matrix: list[list[int]], field: Field) -> int:
     count is the rank."""
     rows = [list(r) for r in matrix]
     m, ncols = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    if field.k == 1:
-        p = field.p
-        for c in range(ncols):
-            if r == m:
-                break
-            pivot = next((i for i in range(r, m) if rows[i][c] % p), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            top = rows[r][c:]
-            inv = pow(top[0], -1, p)
-            for row in rows[r + 1:]:
-                f = row[c] * inv % p
-                if f:
-                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], top)]
-            r += 1
-        return r
     mul, sub = field.mul_enc, field.sub_enc
+    r = 0
     for c in range(ncols):
         if r == m:
             break

@@ -82,6 +82,17 @@ class TestCount:
                                "--q", "5", "--alpha", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("q,alpha", [("7", "-1,1,1"), ("9", "-1:1,1,-1")])
+    def test_negative_alpha_spellings_agree(self, capsys, q, alpha):
+        # a value that starts with '-' reads the same after a space as
+        # after '='; the singular listing prints no timings to differ in
+        base = ["singular", "--type", "A", "--rank", "3", "--q", q]
+        spaced = run_cli(capsys, *base, "--alpha", alpha)
+        glued = run_cli(capsys, *base, f"--alpha={alpha}")
+        assert spaced == glued
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["variety"].startswith("forest[3v/2e]")
+
     @pytest.mark.parametrize("alpha", ["4", ""])
     def test_alpha_with_coeff_file_rejected(self, capsys, tmp_path, alpha):
         coeff = tmp_path / "coeff.txt"

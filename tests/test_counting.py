@@ -87,6 +87,39 @@ class TestBruteCount:
         with pytest.raises(ArithmeticError):
             brute_count(inst)
 
+    def test_scalar_range_split(self):
+        # uneven [lo, hi) chunks of the scalar scan sum to the whole count
+        # and agree with the NumPy kernel on every chunk
+        rng = random.Random(12)
+        cases = [_instance("A", 0, field_make(5)),
+                 _instance("D", 4, field_from_order(4)),
+                 _instance("A", 3, field_from_order(9), {1: -1, 2: 1, 3: 1})]
+        for _ in range(6):
+            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8)))
+            f = random_tree(rng, rng.randint(1, 4))
+            cases.append(VarietyInstance(f, random_coeffs(rng, F, f), F))
+        for inst in cases:
+            F = inst.field
+            space = F.q ** inst.n
+            cuts = sorted({0, space} | {rng.randint(0, space) for _ in range(4)})
+            whole = counting._count_scalar(inst, 0, space)
+            assert whole == brute_count(inst, engine="numpy").count
+            parts = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                part = counting._count_scalar(inst, lo, hi)
+                assert part == _countpy.count_block(
+                    F.q, F.mul_table(), F.plus_one_table(),
+                    *inst.scan_arrays, lo, hi)
+                parts.append(part)
+            assert sum(parts) == whole
+
+    def test_scalar_parallel_equals_serial(self):
+        F = field_make(521)
+        inst = _instance("A", 2, F, {1: 2, 2: 3})
+        assert F.q ** 2 == 271_441 >= counting._PARALLEL_THRESHOLD
+        assert (brute_count(inst, engine="scalar", jobs=2).count
+                == brute_count(inst, engine="numpy").count)
+
     def test_parallel_equals_serial(self):
         F = field_make(5)
         inst = normal_form_instance(F, "A", 8)  # 5^8 is over the split threshold
@@ -169,13 +202,18 @@ class TestBrutePoints:
         assert (pts[0].vertices, pts[0].xs, pts[0].xps) == ((), (), ())
 
     def test_records_satisfy_equations_and_count(self):
+        # a third of the instances allow zero coefficients
         rng = random.Random(10)
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            q = rng.choice((2, 3, 4, 5))
+        for i in range(45):
+            q = rng.choice((2, 3, 4, 5, 7, 8, 9))
             F = field_from_order(q)
-            f = random_tree(rng, n)
-            inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
+            f = random_tree(rng, rng.randint(1, 4 if q <= 5 else 3))
+            if i % 3:
+                cm = random_coeffs(rng, F, f)
+            else:
+                cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices},
+                                   allow_zero=True)
+            inst = VarietyInstance(f, cm, F)
             pts = list(brute_points(inst))
             assert all(record_satisfies(inst, p) for p in pts)
             assert len(pts) == brute_count(inst).count
@@ -192,22 +230,6 @@ class TestBrutePoints:
             keys = [p.key() for p in pts]
             assert keys == sorted(keys)
             assert all(record_satisfies(inst, p) for p in pts)
-
-    def test_table_listing_matches_scalar(self, monkeypatch):
-        # same records in the same order from live_blocks and vertex_rule,
-        # zero coefficients included
-        rng = random.Random(41)
-        cases = []
-        for _ in range(40):
-            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9)))
-            f = random_tree(rng, rng.randint(1, 4 if F.q <= 5 else 3))
-            cm = CoeffMap.make(F, {v: rng.randrange(F.q) for v in f.vertices},
-                               allow_zero=True)
-            cases.append(VarietyInstance(f, cm, F))
-        table = [[p.key() for p in brute_points(inst)] for inst in cases]
-        monkeypatch.setattr(counting, "TABLE_MAX_Q", 1)
-        scalar = [[p.key() for p in brute_points(inst)] for inst in cases]
-        assert table == scalar
 
     def test_records_carry_vertices_and_field(self):
         inst = _instance("D", 4, field_from_order(4))
