@@ -21,13 +21,13 @@ from .counting import (CountReport, EXTENSION_AVAILABLE, FibrationReport,
 from .forests import (DominoTiling, Forest, bipartite_color, canonical_form,
                       dynkin, dynkin_tiling, e_long_branch_end, leafy_tiling,
                       normal_form_slots, white_leaf)
-from .gf import Field, FieldElement, field_from_order, field_make
+from .gf import Field, field_from_order, field_make
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoeffMap", "CountReport", "DominoTiling", "EXTENSION_AVAILABLE",
-    "FibrationReport", "Field", "FieldElement", "Forest", "NormalForm",
+    "FibrationReport", "Field", "Forest", "NormalForm",
     "PointRecord", "VarietyInstance",
     "bipartite_color", "brute_count", "brute_points", "canonical_form",
     "check_z_fibration", "count_Y", "count_Z", "dynkin", "dynkin_tiling",

@@ -24,7 +24,7 @@ from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
 from .errors import BudgetExceeded, ClusterCountError, HeldOutMismatch
 from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
-from .gf import FieldElement, field_from_order
+from .gf import field_from_order
 from .qpoly import FamilyPolicy, fit_and_verify
 from .recursion import recursive_count
 from .singular import singular_points
@@ -177,8 +177,7 @@ def cmd_singular(args) -> int:
     pts = singular_points(instance, budget=args.budget)
 
     def coords(p, codes):
-        return {str(v): str(FieldElement(field, c))
-                for v, c in zip(p.vertices, codes)}
+        return {str(v): field.text(c) for v, c in zip(p.vertices, codes)}
 
     _emit({
         "variety": instance.descriptor(),

@@ -10,35 +10,37 @@ flip order, but the point count never changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import NotAdjacent, NotALeaf, ZeroCoefficient
 from .forests import DominoTiling, Forest, flip_plan
-from .gf import Field, FieldElement
+from .gf import Field
 
 
 @dataclass(frozen=True)
 class CoeffMap:
     """Assignment vertex -> field element, stored as encodings.
 
-    Values must be invertible; `allow_zero` relaxes this for the union-type
-    varieties where the coefficient on one path endpoint ranges over the
-    whole field.
+    `make` requires invertible values; its `allow_zero` relaxes this for
+    the union-type varieties where the coefficient on one path endpoint
+    ranges over the whole field.
     """
 
     field: Field
     values: dict[int, int]
-    allow_zero: bool = dc_field(default=False, compare=False)
 
     @staticmethod
     def make(field: Field, values: dict, allow_zero: bool = False) -> "CoeffMap":
+        """Encode each value: an int by `Field.from_int`, a digit sequence
+        by `Field.from_vector`."""
         enc = {}
         for v, val in values.items():
-            e = field.element(val).code if not isinstance(val, int) else field.from_int(val)
+            e = (field.from_int(val) if isinstance(val, int)
+                 else field.from_vector(val))
             if e == 0 and not allow_zero:
                 raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
             enc[int(v)] = e
-        return CoeffMap(field, enc, allow_zero)
+        return CoeffMap(field, enc)
 
     @staticmethod
     def ones(field: Field, forest: Forest) -> "CoeffMap":
@@ -47,11 +49,9 @@ class CoeffMap:
     def enc(self, v: int) -> int:
         return self.values[v]
 
-    def get(self, v: int) -> FieldElement:
-        return FieldElement(self.field, self.values[v])
-
     def as_str(self) -> dict[int, str]:
-        return {v: str(self.get(v)) for v in sorted(self.values)}
+        text = self.field.text
+        return {v: text(self.values[v]) for v in sorted(self.values)}
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def flip(forest: Forest, coeffs: CoeffMap, s: int, t: int) -> CoeffMap:
         raise NotAdjacent(f"{s}-{t} is not an edge")
     others = tuple(u for u in forest.adjacency[t] if u != s)
     return CoeffMap(coeffs.field,
-                    apply_flips(coeffs.field, coeffs.values, [(s, t, others)]),
-                    coeffs.allow_zero)
+                    apply_flips(coeffs.field, coeffs.values, [(s, t, others)]))
 
 
 def normalize(forest: Forest, tiling: DominoTiling,
@@ -109,8 +108,8 @@ def normalize(forest: Forest, tiling: DominoTiling,
         if coeffs.enc(v) == 0:
             raise ZeroCoefficient(f"coefficient at covered vertex {v} is zero")
     plan = flip_plan(forest, tiling)
-    out = CoeffMap(coeffs.field, apply_flips(coeffs.field, coeffs.values, plan),
-                   coeffs.allow_zero)
+    out = CoeffMap(coeffs.field,
+                   apply_flips(coeffs.field, coeffs.values, plan))
     return NormalForm(forest, tiling, out, tuple((s, t) for s, t, _ in plan))
 
 
@@ -149,28 +148,32 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
 
 # ---------------------------------------------------------------------------
 # file format: "v value" per line; value is an integer, or a comma-separated
-# coefficient vector for extension fields; missing vertices default to 1
+# coefficient vector for extension fields; each vertex at most once, missing
+# vertices default to 1
 # ---------------------------------------------------------------------------
 
 def parse_coeff_text(text: str, field: Field, forest: Forest,
                      allow_zero: bool = False) -> CoeffMap:
-    values: dict[int, object] = {v: 1 for v in forest.vertices}
+    given: dict[int, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'vertex value'")
-        v = int(parts[0])
-        if v not in values:
+        try:
+            vertex, spec = line.split(None, 1)
+            v = int(vertex)
+            value = (tuple(int(c) for c in spec.split(",")) if "," in spec
+                     else int(spec))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'vertex value', "
+                             f"got {line!r}") from None
+        if v not in forest.adjacency:
             raise ValueError(f"line {lineno}: vertex {v} not in the forest")
-        spec = parts[1].strip()
-        if "," in spec:
-            values[v] = tuple(int(c) for c in spec.split(","))
-        else:
-            values[v] = int(spec)
-    return CoeffMap.make(field, values, allow_zero)
+        if v in given:
+            raise ValueError(f"line {lineno}: vertex {v} given twice")
+        given[v] = value
+    return CoeffMap.make(field, {v: 1 for v in forest.vertices} | given,
+                         allow_zero)
 
 
 def read_coeff_file(path, field: Field, forest: Forest,

@@ -15,8 +15,7 @@ determined x' from the right-hand sides and expands the free x' slots.
 `_countpy.count_block` is the vectorised count over fields with lookup
 tables (q <= TABLE_MAX_Q), and the scalar count is its reference.  Each
 point is a `PointRecord`: the vertices and the field, with the x and x'
-encodings as tuples in vertex order; only a caller that prints a point or
-checks it with element arithmetic builds `FieldElement`s from them.
+encodings as tuples in vertex order.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -85,7 +84,8 @@ class VarietyInstance:
     def descriptor(self) -> str:
         # an extension-field coefficient's digits are joined with ':' as
         # in --alpha, so the comma only separates vertices
-        alphas = ",".join(str(self.coeffs.get(v)).replace(",", ":")
+        text, enc = self.field.text, self.coeffs.enc
+        alphas = ",".join(text(enc(v)).replace(",", ":")
                           for v in self.forest.vertices)
         return (f"forest[{self.n}v/{len(self.forest.edges)}e]"
                 f"(alpha=[{alphas}]) over {self.field!r}")

@@ -13,10 +13,6 @@ class UnsupportedSize(ClusterCountError):
     """Field parameters outside the supported range."""
 
 
-class FieldMismatch(ClusterCountError):
-    """Arithmetic attempted between elements of different fields."""
-
-
 class DivisionByZero(ClusterCountError):
     """Inversion or division of the zero element."""
 

@@ -422,13 +422,15 @@ def parse_tree_text(text: str) -> Forest:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) == 1:
-            vertices.add(int(parts[0]))
-        elif len(parts) == 2:
-            u, v = int(parts[0]), int(parts[1])
-            vertices.update((u, v))
-            edges.append((u, v))
+        try:
+            ends = tuple(int(part) for part in line.split())
+        except ValueError:  # reported below with the line
+            ends = ()
+        if len(ends) == 1:
+            vertices.add(ends[0])
+        elif len(ends) == 2:
+            vertices.update(ends)
+            edges.append(ends)
         else:
             raise ValueError(f"line {lineno}: expected 'u v' or 'v', got {raw!r}")
     return Forest.make(vertices, edges)

@@ -180,7 +180,7 @@ def _normal_form_params(dynkin_type: str, rank: int,
         elif coeffs.enc(v) != 1:
             raise NotNormalized(
                 f"vertex {v} must carry coefficient 1 in normal form "
-                f"(found {coeffs.get(v)})")
+                f"(found {coeffs.field.text(coeffs.enc(v))})")
     return tuple(coeffs.enc(v) for v in slots)
 
 
@@ -198,7 +198,7 @@ def formula_count(dynkin_type: str, rank: int, coeffs: CoeffMap,
     branch = firing[0]
     value = branch.count(rank, field.q)
     elapsed = (time.perf_counter() - start) * 1000
-    params_str = ",".join(str(field.element(p)) for p in params)
+    params_str = ",".join(field.text(p) for p in params)
     return CountReport(
         f"{dynkin_type.upper()}{rank}(params=[{params_str}]) over {field!r}",
         field.q, "formula", value, branch=branch.branch_id,

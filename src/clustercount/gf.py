@@ -7,9 +7,8 @@ coefficient of X^i).  The modulus is the lexicographically smallest monic
 irreducible of degree k over F_p, coefficients compared low-degree-first,
 so encodings are reproducible.
 
-Two layers are exposed: `Field` methods ending in `_enc` work directly on
-integer encodings (used by the enumeration kernels), and `FieldElement`
-wraps an encoding with operator overloading and field-membership checks.
+An element is its encoding everywhere: the `Field` methods ending in
+`_enc` do the arithmetic on encodings, and `Field.text` prints one.
 
 An extension-field product is computed once from the digits and then kept
 in the field's dict keyed a * q + b, so `mul_enc` costs a lookup after the
@@ -20,10 +19,9 @@ filling that dict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, NonPrime, UnsupportedSize
+from .errors import DivisionByZero, NonPrime, UnsupportedSize
 
 MAX_PRIME = 2**31
 MAX_EXTENSION_ORDER = 2**20
@@ -183,6 +181,13 @@ class Field:
         coeffs += [0] * (self.k - len(coeffs))
         return self._encode(coeffs)
 
+    def text(self, code: int) -> str:
+        """An encoding as printed: the residue over a prime field, otherwise
+        its base-p digits, low degree first, joined by ','."""
+        if self.k == 1:
+            return str(code)
+        return ",".join(map(str, self._digits(code)))
+
     # -- arithmetic on encodings ----------------------------------------------
 
     def add_enc(self, a: int, b: int) -> int:
@@ -238,25 +243,6 @@ class Field:
             return pow(a, -1, self.p)
         return self.pow_enc(a, self.q - 2)
 
-    # -- elements --------------------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Coerce an int, coefficient sequence, or FieldElement into this field."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch(f"{value} is not in {self}")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, self.from_int(value))
-        return FieldElement(self, self.from_vector(value))
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> list["FieldElement"]:
-        """All q elements in encoding order: 0 first, 1 second."""
-        return [FieldElement(self, c) for c in range(self.q)]
-
     # -- lookup tables for the enumeration kernels ------------------------------
 
     def mul_table(self):
@@ -291,77 +277,6 @@ class Field:
         if self._inv_table is None:
             self._inv_table = [0] + [self.inv_enc(c) for c in range(1, self.q)]
         return self._inv_table
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a `Field`, stored as its canonical integer encoding."""
-
-    field: Field
-    code: int
-
-    @property
-    def rep(self):
-        """Canonical representative: an int for prime fields, a coefficient
-        tuple (low degree first) for extension fields."""
-        if self.field.k == 1:
-            return self.code
-        return tuple(self.field._digits(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, self.field.from_int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.add_enc(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_enc(self.code, other.code))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_enc(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_enc(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_enc(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_enc(self.code))
-
-    def __str__(self):
-        if self.field.k == 1:
-            return str(self.code)
-        return ",".join(str(d) for d in self.rep)
-
-    def __repr__(self):
-        return f"{self} in {self.field}"
 
 
 def field_make(p: int, k: int = 1) -> Field:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from clustercount import CoeffMap, FieldElement, Forest, VarietyInstance
+from clustercount import CoeffMap, Forest, VarietyInstance
 
 
 def naive_count(instance: VarietyInstance) -> int:
@@ -33,17 +33,16 @@ def naive_count(instance: VarietyInstance) -> int:
 
 
 def record_satisfies(instance: VarietyInstance, record) -> bool:
-    """Re-verify one point record against the equations, via element ops on
-    `FieldElement`s built here from the record's encodings."""
+    """Re-verify one point record against the equations, one vertex at a
+    time with `mul_enc`/`add_enc`, without the library's `vertex_rule`."""
     fld = instance.field
-    x = {v: FieldElement(fld, c) for v, c in zip(record.vertices, record.xs)}
-    xp = {v: FieldElement(fld, c) for v, c in zip(record.vertices, record.xps)}
-    one = fld.one()
+    x = dict(zip(record.vertices, record.xs))
+    xp = dict(zip(record.vertices, record.xps))
     for t in instance.forest.vertices:
-        rhs = instance.coeffs.get(t)
+        rhs = instance.coeffs.enc(t)
         for s in instance.forest.adjacency[t]:
-            rhs = rhs * x[s]
-        if x[t] * xp[t] != one + rhs:
+            rhs = fld.mul_enc(rhs, x[s])
+        if fld.mul_enc(x[t], xp[t]) != fld.add_enc(rhs, 1):
             return False
     return True
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import clustercount
 from clustercount import _countpy
 from clustercount.cli import main
 
@@ -112,6 +115,18 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "--rank" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n1 3\n", "error: line 2: vertex 1 given twice"),
+        ("1 2 3\n", "error: line 1: ")])
+    def test_bad_coeff_file_rejected(self, capsys, tmp_path, text, message):
+        coeff = tmp_path / "coeff.txt"
+        coeff.write_text(text)
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "3", "--q", "5", "--coeff-file", str(coeff))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
@@ -228,9 +243,13 @@ class TestOtherCommands:
 
 
 def test_module_invocation_smoke():
+    # the subprocess imports the package from where this process did
+    src = str(Path(clustercount.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "clustercount", "count", "--type", "A",
          "--rank", "1", "--q", "5", "--method", "all"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=os.environ | {"PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "4"

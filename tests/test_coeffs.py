@@ -256,4 +256,17 @@ def test_parse_coeff_text():
     cm = parse_coeff_text("1 2\n3 1,2\n", F9, f)
     assert cm.enc(1) == 2
     assert cm.enc(2) == 1  # defaulted
-    assert cm.get(3).rep == (1, 2)
+    assert F9.text(cm.enc(3)) == "1,2"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n1 3\n", "line 2: vertex 1 given twice"),
+    ("1 2 3\n", "line 1: "),
+    ("2 1,x\n", "line 1: "),
+    ("\n# c\nv 2\n", "line 3: "),
+    ("9 2\n", "line 1: vertex 9 not in the forest"),
+])
+def test_parse_coeff_text_rejects(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_coeff_text(text, field_make(5), dynkin("A", 3))
+    assert str(info.value).startswith(message)

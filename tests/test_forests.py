@@ -265,3 +265,9 @@ class TestForestBasics:
         f = parse_tree_text("1 2\n2 3\n5\n# comment\n")
         assert f.vertices == (1, 2, 3, 5)
         assert f.edges == ((1, 2), (2, 3))
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("1 2\nx y\n", 2), ("1 2 3\n", 1), ("# c\n\n4 z\n", 3)])
+    def test_parse_tree_text_names_bad_line(self, text, lineno):
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
+            parse_tree_text(text)

@@ -116,7 +116,7 @@ class TestRank:
 
     def test_extension_field_rank(self):
         F4 = field_make(2, 2)
-        x = F4.element((0, 1)).code
+        x = F4.from_vector((0, 1))
         # rows (1, x) and (x, x^2): second is x * first -> rank 1
         x2 = F4.mul_enc(x, x)
         assert rank([[1, x], [x, x2]], F4) == 1
