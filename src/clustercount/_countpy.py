@@ -1,18 +1,34 @@
 """NumPy counting kernel: the vectorised form of `counting.vertex_rule`.
 
-The x-assignments with index in [lo, hi) are scanned in blocks, the index
-read as a base-q number whose most significant digit is the first vertex.
-`_rhs` evaluates r_t = 1 + alpha_t * prod(neighbors) for one vertex over a
-block; it is the only vectorised statement of that product.  A vertex
+The x-assignments with index in [lo, hi) are scanned, the index read as a
+base-q number whose most significant digit is the first vertex.  A vertex
 contributes a factor 1 if x_t != 0, q if x_t == 0 and r_t == 0, and kills
-the assignment otherwise.
+the assignment otherwise, where r_t = 1 + alpha_t * prod(neighbors).
 
-`count_block` counts the weighted assignments.  A live assignment weighs
-q^k, k its number of zero digits.  Each block tallies its live assignments
-by k with `np.bincount`, and the tallies are combined as sum tally[k] * q^k
-in Python integers, so the count is exact for every n and q: no
-machine-word product is ever formed.  Only the assignment indices are
-int64, so `hi` may not pass 2^63.
+`count_block` splits the n digits into a prefix, the first n - k vertices,
+and a suffix, the last k, with B = q^k <= `block`.  Once per call it lays
+out all B suffix assignments as arrays: their digits, their zero counts,
+each vertex's product over its suffix neighbours, and the alive mask of
+the suffix vertices whose whole neighbourhood lies in the suffix.  Then
+the scan walks the prefix values one block of B assignments at a time,
+decoding the prefix digits as Python ints.  A prefix vertex with x_t = 0
+that no suffix neighbour can rescue (r_t != 0 on scalars) kills the whole
+block, which is skipped.  Every other vertex that sees the prefix reads
+it only through c_t = alpha_t * prod(prefix neighbours), one scalar, and
+ANDs in a mask over the suffix: where r_t = 0, or x_t != 0 for a suffix
+vertex.  The masks are memoised per (vertex, c_t), at most q per vertex;
+prefix vertices with the same suffix neighbours share theirs.  The live
+assignments of each block are tallied by their number of zero digits with
+`np.bincount`.
+
+Every assignment of every live block is tested and tallied: the scan
+uses no tree decomposition and memoises no tally, so it stays independent
+of the recursion.  A live assignment weighs q^z, z its number of zero
+digits.  A block's tally holds at most B per entry, exact in the float
+weights of `np.bincount`; the int64 tallies are combined as
+sum tally[z] * q^z in Python integers.  So the count is exact for every n
+and q: no assignment index and no machine-word power is ever formed, and
+[lo, hi) may lie anywhere, past 2^63 included.
 
 The scalar count in `counting` is its reference; point listing runs on
 that scalar scan only.
@@ -25,39 +41,73 @@ import numpy as np
 BLOCK = 1 << 15
 
 
-def _rhs(mul, plus_one, alpha_t, x, nbrs_t, m):
-    """r_t = 1 + alpha_t * prod over s in `nbrs_t` of x[s], for the m
-    assignments of one block."""
-    prod = np.full(m, alpha_t, dtype=np.int64)
-    for j in nbrs_t:
-        prod = mul[prod, x[j]]
-    return plus_one[prod]
-
-
 def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
     """`mul` and `plus_one` are the field's lookup tables on encodings,
     `alpha` the coefficient encodings and `nbrs` the neighbor positions,
     both in vertex order."""
-    if hi > 2**63:
-        raise OverflowError(f"assignment index {hi - 1} does not fit in int64")
     n = len(alpha)
-    if n == 0:
-        return int(hi - lo)
-    tally = np.zeros(n + 1, dtype=np.int64)
-    for a in range(lo, hi, block):
-        b = min(hi, a + block)
-        m = b - a
-        x = np.empty((n, m), dtype=np.int64)
-        rem = np.arange(a, b, dtype=np.int64)
-        for t in range(n - 1, -1, -1):
-            x[t] = rem % q
-            rem //= q
-        free = np.zeros(m, dtype=np.int64)
-        alive = np.ones(m, dtype=bool)
-        for t in range(n):
-            zero = x[t] == 0
-            alive &= ~zero | (_rhs(mul, plus_one, alpha[t], x, nbrs[t], m) == 0)
-            free += zero
-        tally += np.bincount(free[alive], minlength=n + 1)
-    return sum(int(c) * q**k for k, c in enumerate(tally))
+    k = 0
+    while k < n and q ** (k + 1) <= block:
+        k += 1
+    s, B = n - k, q**k
+    # the suffix: digit rows of vertices s..n-1 over all B assignments
+    x = np.indices((q,) * k).reshape(k, B)
+    zeros = (x == 0).sum(axis=0)
+    flat = mul.ravel()
+    pre, suf = [], []  # prefix neighbours; prod over suffix ones, or None
+    for t in range(n):
+        pre.append([j for j in nbrs[t] if j < s])
+        prod = None
+        for j in nbrs[t]:
+            if j >= s:
+                prod = x[j - s] if prod is None else flat[prod * q + x[j - s]]
+        suf.append(prod)
+    # prefix vertices with the same suffix neighbours share their masks
+    key = [tuple(j for j in nbrs[t] if j >= s) if t < s else t
+           for t in range(n)]
 
+    def mask(t, c):
+        # r_t = 1 + c * prod(suffix nbrs) == 0, c = alpha_t * prod(prefix
+        # nbrs): the product must be the root of 1 + c*y, none if c = 0
+        if suf[t] is None:
+            r = plus_one[c] == 0
+        else:
+            root = np.flatnonzero(plus_one[mul[c]] == 0)
+            r = suf[t] == root[0] if len(root) else np.zeros(B, dtype=bool)
+        return r | (x[t - s] != 0) if t >= s else r
+
+    base = np.ones(B, dtype=bool)
+    for t in range(s, n):
+        if not pre[t]:
+            base &= mask(t, alpha[t])
+    sees_prefix = [t for t in range(n) if t < s or pre[t]]
+    memo = {}
+    tally = np.zeros(n + 1, dtype=np.int64)
+    for p in range(lo // B, (hi - 1) // B + 1):
+        xs, rem = [0] * s, p
+        for t in range(s - 1, -1, -1):
+            rem, xs[t] = divmod(rem, q)
+        masks = {}
+        for t in sees_prefix:
+            if t < s and xs[t] != 0:
+                continue
+            c = alpha[t]
+            for j in pre[t]:
+                c = mul[c, xs[j]]
+            if t < s and (c == 0 or suf[t] is None):
+                if plus_one[c] != 0:
+                    break  # x_t = 0 and r_t != 0 whatever the suffix
+                continue
+            kc = key[t], c
+            if kc not in memo:
+                memo[kc] = mask(t, c)
+            masks[kc] = memo[kc]
+        else:
+            a, b = max(lo - p * B, 0), min(hi - p * B, B)
+            alive = base[a:b]
+            for m in masks.values():
+                alive = alive & m[a:b]
+            z = xs.count(0)
+            tally[z:z + k + 1] += np.bincount(zeros[a:b], alive,
+                                              k + 1).astype(np.int64)
+    return sum(int(c) * q**z for z, c in enumerate(tally))

@@ -21,7 +21,8 @@ import sys
 from .coeffs import CoeffMap, normalize, read_coeff_file
 from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
                        normal_form_instance)
-from .errors import BudgetExceeded, ClusterCountError, HeldOutMismatch
+from .errors import (BudgetExceeded, ClusterCountError, HeldOutMismatch,
+                     UnsupportedSize)
 from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
 from .gf import field_from_order
@@ -42,18 +43,23 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_alpha_items(spec: str) -> list:
+def _parse_alpha_items(spec: str, field) -> list:
     """Comma-separated items; each an integer reduced into the field, or a
     colon-separated coefficient vector for extension fields."""
     if not spec.strip():
         raise UsageError("--alpha is empty")
     items = []
-    for part in spec.split(","):
+    for i, part in enumerate(spec.split(","), start=1):
         part = part.strip()
-        if ":" in part:
-            items.append(tuple(int(c) for c in part.split(":")))
-        else:
+        if ":" not in part:
             items.append(int(part))
+            continue
+        vector = tuple(int(c) for c in part.split(":"))
+        try:
+            field.from_vector(vector)
+        except UnsupportedSize as exc:
+            raise UsageError(f"--alpha item {i} ({part}): {exc}") from None
+        items.append(vector)
     return items
 
 
@@ -89,7 +95,7 @@ def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | Non
     if args.coeff_file is not None:
         cm = read_coeff_file(args.coeff_file, field, forest)
     elif args.alpha is not None:
-        items = _parse_alpha_items(args.alpha)
+        items = _parse_alpha_items(args.alpha, field)
         if len(items) == forest.n_vertices:
             cm = CoeffMap.make(field, dict(zip(forest.vertices, items)))
         elif t is None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAdjacent, NotALeaf, ZeroCoefficient
+from .errors import (NotAdjacent, NotALeaf, UnsupportedSize,
+                     ZeroCoefficient)
 from .forests import DominoTiling, Forest, flip_plan
 from .gf import Field
 
@@ -171,6 +172,11 @@ def parse_coeff_text(text: str, field: Field, forest: Forest,
             raise ValueError(f"line {lineno}: vertex {v} not in the forest")
         if v in given:
             raise ValueError(f"line {lineno}: vertex {v} given twice")
+        if isinstance(value, tuple):
+            try:
+                field.from_vector(value)
+            except UnsupportedSize as exc:
+                raise ValueError(f"line {lineno}: vertex {v}: {exc}") from None
         given[v] = value
     return CoeffMap.make(field, {v: 1 for v in forest.vertices} | given,
                          allow_zero)

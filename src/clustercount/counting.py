@@ -13,9 +13,14 @@ assignment indices.  Every scalar count (`_count_scalar`) and every point
 listing (`brute_points`) is built on that one scan; the listing derives the
 determined x' from the right-hand sides and expands the free x' slots.
 `_countpy.count_block` is the vectorised count over fields with lookup
-tables (q <= TABLE_MAX_Q), and the scalar count is its reference.  Each
-point is a `PointRecord`: the vertices and the field, with the x and x'
-encodings as tuples in vertex order.
+tables (q <= TABLE_MAX_Q), and the scalar count is its reference.
+`brute_count` splits the index range over a process pool only for scans
+of at least `_PARALLEL_THRESHOLD` = 2^26 assignments, the measured
+break-even of the pool against the NumPy kernel on a 2-CPU host
+(`_SCALAR_PARALLEL_THRESHOLD` = 2^18 for the scalar scan, about 100 times
+slower per assignment); smaller scans run in-process whatever `jobs` is.
+Each point is a `PointRecord`: the vertices and the field, with the x and
+x' encodings as tuples in vertex order.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -40,7 +45,8 @@ from .gf import Field
 EXTENSION_AVAILABLE = False  # no compiled kernel exists; perfbench reads this
 DEFAULT_BUDGET = 10**9
 TABLE_MAX_Q = 1024
-_PARALLEL_THRESHOLD = 1 << 18
+_PARALLEL_THRESHOLD = 1 << 26
+_SCALAR_PARALLEL_THRESHOLD = 1 << 18
 
 
 def default_budget() -> int:
@@ -214,14 +220,17 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
 
     `engine` is "numpy" (the table-driven kernel, q <= TABLE_MAX_Q),
     "scalar" (the reference scan) or "auto" (numpy when the field allows).
-    A count above q^(2n), the number of (x, x') pairs, raises
-    ArithmeticError."""
+    With `jobs` > 1 and qⁿ at least the engine's threshold the index range
+    is split over a process pool of `jobs` workers.  A count above q^(2n),
+    the number of (x, x') pairs, raises ArithmeticError."""
     start = time.perf_counter()
     n, q = instance.n, instance.field.q
     _check_budget(n, q, budget)
     chosen = _pick_engine(engine, instance.field)
     space = q**n
-    if jobs > 1 and space >= _PARALLEL_THRESHOLD:
+    threshold = (_PARALLEL_THRESHOLD if chosen == "numpy"
+                 else _SCALAR_PARALLEL_THRESHOLD)
+    if jobs > 1 and space >= threshold:
         bounds = [space * i // jobs for i in range(jobs + 1)]
         chunks = [(instance, chosen, bounds[i], bounds[i + 1])
                   for i in range(jobs) if bounds[i] < bounds[i + 1]]

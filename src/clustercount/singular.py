@@ -107,38 +107,6 @@ def rank(matrix: list[list[int]], field: Field) -> int:
     return r
 
 
-def _det(matrix: list[list[int]], field: Field) -> int:
-    """Determinant by cofactor expansion; cross-check use only (tiny sizes)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = field.mul_enc(matrix[0][j], _det(minor, field))
-        if j % 2:
-            term = field.neg_enc(term)
-        total = field.add_enc(total, term)
-    return total
-
-
-def all_minors_vanish(matrix: list[list[int]], field: Field, size: int) -> bool:
-    """True when every size x size minor is zero.  Exponential; used only to
-    cross-check the elimination rank on small test instances."""
-    m = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    for rows_idx in itertools.combinations(range(m), size):
-        for cols_idx in itertools.combinations(range(ncols), size):
-            sub = [[matrix[i][j] for j in cols_idx] for i in rows_idx]
-            if _det(sub, field) != 0:
-                return False
-    return True
-
-
 def _could_be_singular(record: PointRecord) -> bool:
     xs = record.xs
     return 0 in xs and any(x == 0 and xp == 0

@@ -96,6 +96,17 @@ class TestCount:
         assert spaced[0] == 0
         assert json.loads(spaced[1])["variety"].startswith("forest[3v/2e]")
 
+    @pytest.mark.parametrize("q,alpha,item", [
+        ("9", "1:2:1,1,1", "item 1 (1:2:1)"),
+        ("5", "1,1:1,1", "item 2 (1:1)")])
+    def test_alpha_vector_too_long_rejected(self, capsys, q, alpha, item):
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "3", "--q", q, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --alpha {item}: vector longer than "
+                              f"extension degree {1 if q == '5' else 2}")
+
     @pytest.mark.parametrize("alpha", ["4", ""])
     def test_alpha_with_coeff_file_rejected(self, capsys, tmp_path, alpha):
         coeff = tmp_path / "coeff.txt"
@@ -118,7 +129,9 @@ class TestCount:
 
     @pytest.mark.parametrize("text, message", [
         ("1 2\n1 3\n", "error: line 2: vertex 1 given twice"),
-        ("1 2 3\n", "error: line 1: ")])
+        ("1 2 3\n", "error: line 1: "),
+        ("1 1,2\n", "error: line 1: vertex 1: vector longer than "
+                     "extension degree 1")])
     def test_bad_coeff_file_rejected(self, capsys, tmp_path, text, message):
         coeff = tmp_path / "coeff.txt"
         coeff.write_text(text)

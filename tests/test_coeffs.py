@@ -265,8 +265,16 @@ def test_parse_coeff_text():
     ("2 1,x\n", "line 1: "),
     ("\n# c\nv 2\n", "line 3: "),
     ("9 2\n", "line 1: vertex 9 not in the forest"),
+    ("2 3\n1 1,2\n", "line 2: vertex 1: vector longer than extension degree 1"),
 ])
 def test_parse_coeff_text_rejects(text, message):
     with pytest.raises(ValueError) as info:
         parse_coeff_text(text, field_make(5), dynkin("A", 3))
     assert str(info.value).startswith(message)
+
+
+def test_parse_coeff_text_rejects_long_vector_extension_field():
+    with pytest.raises(ValueError) as info:
+        parse_coeff_text("3 1,2,1\n", field_make(3, 2), dynkin("A", 3))
+    assert str(info.value) == ("line 1: vertex 3: vector longer than "
+                               "extension degree 2")

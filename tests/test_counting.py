@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
@@ -70,15 +71,22 @@ class TestBruteCount:
         # K_{1,60} over F_2, center first: on this range the center is 1 and
         # the last 15 leaves read i, each zero leaf weighing 2
         F = field_make(2)
+        tables = F.mul_table(), F.plus_one_table()
         f = spider((1,) * 60)
         alpha, nbrs = VarietyInstance(f, CoeffMap.ones(F, f), F).scan_arrays
-        got = _countpy.count_block(2, F.mul_table(), F.plus_one_table(),
-                                   alpha, nbrs, 2**60, 2**60 + 2**15)
+        got = _countpy.count_block(2, *tables, alpha, nbrs,
+                                   2**60, 2**60 + 2**15)
         assert got == sum(2 ** (60 - bin(i).count("1")) for i in range(2**15))
         assert got == 504857282956046106624 > 2**63
-        with pytest.raises(OverflowError):  # indices past int64 would wrap
-            _countpy.count_block(2, F.mul_table(), F.plus_one_table(),
-                                 alpha, nbrs, 2**63 - 1, 2**63 + 1)
+        # K_{1,63} (2^64 assignments) on a range straddling 2^63: below it
+        # the center is 0 and only the all-ones leaves are live, weighing 2;
+        # from it on the center is 1, 49 leaves are 0 and the last 14 read i
+        f = spider((1,) * 63)
+        alpha, nbrs = VarietyInstance(f, CoeffMap.ones(F, f), F).scan_arrays
+        got = _countpy.count_block(2, *tables, alpha, nbrs,
+                                   2**63 - 2**14, 2**63 + 2**14)
+        assert got == 2 + sum(2 ** (63 - bin(i).count("1"))
+                              for i in range(2**14))
 
     def test_count_above_pair_bound_raises(self, monkeypatch):
         inst = _instance("A", 3, field_make(3))
@@ -113,16 +121,56 @@ class TestBruteCount:
                 parts.append(part)
             assert sum(parts) == whole
 
-    def test_scalar_parallel_equals_serial(self):
+    def test_kernel_blocks_equal_scalar(self):
+        # random forests with zero coefficients, cut at random [lo, hi) and
+        # scanned in blocks of 1, q, q^2 and BLOCK assignments, so that
+        # the ranges cross blocks and end inside them
+        rng = random.Random(14)
+        for _ in range(40):
+            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+            q = F.q
+            # q^n at most 4096, so that the scalar scan stays quick
+            n = rng.randint(1, {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}[q])
+            tree = random_tree(rng, n)
+            f = Forest.make(tree.vertices,
+                            [e for e in tree.edges if rng.random() < 0.75])
+            cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices},
+                               allow_zero=True)
+            inst = VarietyInstance(f, cm, F)
+            tables = F.mul_table(), F.plus_one_table()
+            lo = rng.randint(0, q**n)
+            hi = rng.randint(lo, q**n)
+            want = counting._count_scalar(inst, lo, hi)
+            for block in (1, q, q * q, _countpy.BLOCK):
+                assert want == _countpy.count_block(
+                    q, *tables, *inst.scan_arrays, lo, hi, block), block
+
+    def test_kernel_skips_dead_blocks(self, monkeypatch):
+        # A_4 over F_3 in blocks of 3: x_1 = x_2 = 0 gives r_1 = 1 on the
+        # prefix alone, so those blocks are skipped without a tally
+        F = field_make(3)
+        inst = _instance("A", 4, F)
+        tallies = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a: tallies.append(a) or bincount(*a))
+        got = _countpy.count_block(3, F.mul_table(), F.plus_one_table(),
+                                   *inst.scan_arrays, 0, 81, 3)
+        assert got == counting._count_scalar(inst, 0, 81)
+        assert 0 < len(tallies) < 27
+
+    def test_scalar_parallel_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(counting, "_SCALAR_PARALLEL_THRESHOLD", 1 << 12)
         F = field_make(521)
         inst = _instance("A", 2, F, {1: 2, 2: 3})
-        assert F.q ** 2 == 271_441 >= counting._PARALLEL_THRESHOLD
+        assert F.q ** 2 == 271_441 >= counting._SCALAR_PARALLEL_THRESHOLD
         assert (brute_count(inst, engine="scalar", jobs=2).count
                 == brute_count(inst, engine="numpy").count)
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(counting, "_PARALLEL_THRESHOLD", 1 << 12)
         F = field_make(5)
-        inst = normal_form_instance(F, "A", 8)  # 5^8 is over the split threshold
+        inst = normal_form_instance(F, "A", 8)
         assert F.q ** 8 >= counting._PARALLEL_THRESHOLD
         lo = brute_count(inst, jobs=1).count
         hi = brute_count(inst, jobs=4).count

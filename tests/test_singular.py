@@ -7,12 +7,11 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_points,
                           normal_form_instance)
 from clustercount.counting import PointRecord
 from clustercount.errors import BudgetExceeded, PointNotOnVariety
-from clustercount.singular import (_hall_violators, all_minors_vanish,
-                                   jacobian_at, matching_rank,
-                                   matching_singular_points, rank,
-                                   singular_points, verify_point)
+from clustercount.singular import (_hall_violators, jacobian_at,
+                                   matching_rank, matching_singular_points,
+                                   rank, singular_points, verify_point)
 
-from helpers import random_tree
+from helpers import all_minors_vanish, random_tree
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
