@@ -19,8 +19,7 @@ from .counting import (CountReport, EXTENSION_AVAILABLE, FibrationReport,
                        brute_points, check_z_fibration, count_Y, count_Z,
                        normal_form_instance)
 from .forests import (DominoTiling, Forest, bipartite_color, canonical_form,
-                      dynkin, dynkin_tiling, e_long_branch_end, leafy_tiling,
-                      normal_form_slots, white_leaf)
+                      dynkin, dynkin_tiling, leafy_tiling, normal_form_slots)
 from .gf import Field, field_from_order, field_make
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "PointRecord", "VarietyInstance",
     "bipartite_color", "brute_count", "brute_points", "canonical_form",
     "check_z_fibration", "count_Y", "count_Z", "dynkin", "dynkin_tiling",
-    "e_long_branch_end", "field_from_order", "field_make", "flip",
-    "leaf_removal_transforms", "leafy_tiling", "normal_form_instance",
-    "normal_form_slots", "normalize", "white_leaf",
+    "field_from_order", "field_make", "flip", "leaf_removal_transforms",
+    "leafy_tiling", "normal_form_instance", "normal_form_slots", "normalize",
 ]

@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from .coeffs import CoeffMap, normalize, read_coeff_file
 from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
@@ -45,16 +46,21 @@ def _emit(obj) -> None:
 
 def _parse_alpha_items(spec: str, field) -> list:
     """Comma-separated items; each an integer reduced into the field, or a
-    colon-separated coefficient vector for extension fields."""
+    colon-separated coefficient vector for extension fields.  A bad item is
+    a UsageError that names it by position and text."""
     if not spec.strip():
         raise UsageError("--alpha is empty")
     items = []
     for i, part in enumerate(spec.split(","), start=1):
         part = part.strip()
+        try:
+            vector = tuple(int(c) for c in part.split(":"))
+        except ValueError:
+            what = "a vector of integers" if ":" in part else "an integer"
+            raise UsageError(f"--alpha item {i} ({part}): not {what}") from None
         if ":" not in part:
-            items.append(int(part))
+            items.append(vector[0])
             continue
-        vector = tuple(int(c) for c in part.split(":"))
         try:
             field.from_vector(vector)
         except UnsupportedSize as exc:
@@ -222,7 +228,9 @@ def cmd_check(args) -> int:
     return 0 if all(r.ok for r in results) else MATH_ERROR
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="clustercount",
         description="Exact F_q point counts for exchange-equation varieties "
@@ -256,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--method", default="all",
                          choices=["brute", "recursion", "formula", "all"])
     p_count.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel workers for enumeration")
+                         help="parallel workers for enumeration, at most "
+                              "one per CPU")
     p_count.set_defaults(fn=cmd_count)
 
     p_norm = sub.add_parser("normalize",
@@ -276,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["generic", "special", "equal-special",
                                    "one-special", "double-special"])
     p_interp.add_argument("--degree", type=int, default=None,
-                          help="degree bound, at least 1 (default: rank)")
+                          help="degree bound, at least 1 (default: the "
+                               "rank, at least 1)")
     p_interp.add_argument("--extra", type=int, default=2,
                           help="held-out verification primes, at least 0")
     p_interp.add_argument("--ascending", action="store_true",

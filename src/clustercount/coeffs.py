@@ -153,8 +153,7 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
 # vertices default to 1
 # ---------------------------------------------------------------------------
 
-def parse_coeff_text(text: str, field: Field, forest: Forest,
-                     allow_zero: bool = False) -> CoeffMap:
+def parse_coeff_text(text: str, field: Field, forest: Forest) -> CoeffMap:
     given: dict[int, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,11 +177,9 @@ def parse_coeff_text(text: str, field: Field, forest: Forest,
             except UnsupportedSize as exc:
                 raise ValueError(f"line {lineno}: vertex {v}: {exc}") from None
         given[v] = value
-    return CoeffMap.make(field, {v: 1 for v in forest.vertices} | given,
-                         allow_zero)
+    return CoeffMap.make(field, {v: 1 for v in forest.vertices} | given)
 
 
-def read_coeff_file(path, field: Field, forest: Forest,
-                    allow_zero: bool = False) -> CoeffMap:
+def read_coeff_file(path, field: Field, forest: Forest) -> CoeffMap:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_coeff_text(fh.read(), field, forest, allow_zero)
+        return parse_coeff_text(fh.read(), field, forest)

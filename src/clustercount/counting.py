@@ -131,17 +131,14 @@ class CountReport:
             raise ValueError("negative count")
 
 
-def estimate_ops(n: int, q: int) -> int:
-    """Cost model for the budget precondition: n * q^n elementary steps."""
-    return max(1, n) * q**n
-
-
-def _check_budget(n: int, q: int, budget: int | None) -> int:
+def _check_budget(n: int, q: int, budget: int | None) -> None:
+    """The budget precondition on the cost model n * q^n elementary steps
+    (at least q^n): BudgetExceeded above `budget`, default_budget() when
+    None."""
     budget = default_budget() if budget is None else budget
-    est = estimate_ops(n, q)
+    est = max(1, n) * q**n
     if est > budget:
         raise BudgetExceeded(est, budget)
-    return est
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +206,16 @@ def _count_range(instance: VarietyInstance, engine: str, lo: int, hi: int) -> in
                                 *instance.scan_arrays, lo, hi)
 
 
-def _worker(args):
-    instance, engine, lo, hi = args
-    return _count_range(instance, engine, lo, hi)
-
-
 def brute_count(instance: VarietyInstance, *, budget: int | None = None,
                 jobs: int = 1, engine: str = "auto") -> CountReport:
     """Exact number of points, by weighted scan of the qⁿ x-assignments.
 
     `engine` is "numpy" (the table-driven kernel, q <= TABLE_MAX_Q),
     "scalar" (the reference scan) or "auto" (numpy when the field allows).
-    With `jobs` > 1 and qⁿ at least the engine's threshold the index range
-    is split over a process pool of `jobs` workers.  A count above q^(2n),
-    the number of (x, x') pairs, raises ArithmeticError."""
+    With qⁿ at least the engine's threshold the index range is split over a
+    process pool of min(`jobs`, CPU count) workers, when that is above 1.
+    A count above q^(2n), the number of (x, x') pairs, raises
+    ArithmeticError."""
     start = time.perf_counter()
     n, q = instance.n, instance.field.q
     _check_budget(n, q, budget)
@@ -230,12 +223,13 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
     space = q**n
     threshold = (_PARALLEL_THRESHOLD if chosen == "numpy"
                  else _SCALAR_PARALLEL_THRESHOLD)
-    if jobs > 1 and space >= threshold:
-        bounds = [space * i // jobs for i in range(jobs + 1)]
-        chunks = [(instance, chosen, bounds[i], bounds[i + 1])
-                  for i in range(jobs) if bounds[i] < bounds[i + 1]]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total = sum(pool.map(_worker, chunks))
+    workers = (min(jobs, os.cpu_count() or 1)
+               if jobs > 1 and space >= threshold else 1)
+    if workers > 1:
+        bounds = [space * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(workers) as pool:
+            total = sum(pool.map(_count_range, [instance] * workers,
+                                 [chosen] * workers, bounds[:-1], bounds[1:]))
     else:
         total = _count_range(instance, chosen, 0, space)
     elapsed = (time.perf_counter() - start) * 1000
@@ -273,7 +267,7 @@ def brute_points(instance: VarietyInstance, *, budget: int | None = None):
 # ---------------------------------------------------------------------------
 
 def normal_form_instance(field: Field, dynkin_type: str, rank: int,
-                         params: tuple = (), allow_zero: bool = False) -> VarietyInstance:
+                         params: tuple = ()) -> VarietyInstance:
     """Instance with the given parameters on the normal-form slots, 1 elsewhere."""
     f = dynkin(dynkin_type, rank)
     slots = normal_form_slots(dynkin_type, rank)
@@ -282,7 +276,7 @@ def normal_form_instance(field: Field, dynkin_type: str, rank: int,
             f"{dynkin_type}_{rank} normal form takes {len(slots)} parameter(s), "
             f"got {len(params)}")
     values = {v: 1 for v in f.vertices} | dict(zip(slots, params))
-    return VarietyInstance(f, CoeffMap.make(field, values, allow_zero), field)
+    return VarietyInstance(f, CoeffMap.make(field, values), field)
 
 
 def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:

@@ -21,10 +21,6 @@ class BadRank(ClusterCountError):
     """Invalid rank for a Dynkin diagram constructor."""
 
 
-class EmptyCoveredSet(ClusterCountError):
-    """A domino tiling covers no vertices where some are required."""
-
-
 class NotAdjacent(ClusterCountError):
     """The two vertices of a coefficient flip are not an edge."""
 

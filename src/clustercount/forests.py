@@ -17,10 +17,11 @@ survives normalization) is exposed by `normal_form_slots`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadRank, EmptyCoveredSet
+from .errors import BadRank
 
 WHITE = "W"
 BLACK = "B"
@@ -82,11 +83,8 @@ class Forest:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return self._components
-
     @cached_property
-    def _components(self) -> tuple[tuple[int, ...], ...]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
         seen = set()
         comps = []
         for start in self.vertices:
@@ -135,7 +133,7 @@ class Forest:
         Two centres are each other's parent, so neither is the other's
         child; a single centre is its own parent."""
         plan = []
-        for comp in self.components():
+        for comp in self.components:
             roots = _centres(self, comp)
             parent = {roots[0]: roots[-1], roots[-1]: roots[0]}
             top_down = list(roots)
@@ -197,9 +195,6 @@ class DominoTiling:
                 return u
         raise KeyError(f"vertex {v} is not covered")
 
-    def is_full(self, forest: Forest) -> bool:
-        return self.covered == set(forest.vertices)
-
 
 # ---------------------------------------------------------------------------
 # Dynkin constructors
@@ -236,12 +231,6 @@ def dynkin(dynkin_type: str, rank: int) -> Forest:
     return Forest.make(range(1, rank + 1), edges)
 
 
-def e_long_branch_end(rank: int) -> int:
-    """The last vertex on the long arm of E_rank (the E_7 parameter slot)."""
-    check_rank("E", rank)
-    return rank
-
-
 def normal_form_slots(dynkin_type: str, rank: int) -> tuple[int, ...]:
     """Vertices that can carry a residual coefficient after normalization.
 
@@ -252,7 +241,7 @@ def normal_form_slots(dynkin_type: str, rank: int) -> tuple[int, ...]:
         return (1,) if rank % 2 == 1 else ()
     if t == "D":
         return (1, 2) if rank % 2 == 0 else (1,)
-    return (e_long_branch_end(rank),) if rank == 7 else ()
+    return (7,) if rank == 7 else ()
 
 
 def dynkin_tiling(dynkin_type: str, rank: int) -> DominoTiling:
@@ -274,12 +263,11 @@ def dynkin_tiling(dynkin_type: str, rank: int) -> DominoTiling:
 # colorings and tilings for arbitrary forests
 # ---------------------------------------------------------------------------
 
-def bipartite_color(forest: Forest, anchor: int | None = None) -> dict[int, str]:
-    """Proper 2-coloring; the anchor (default: smallest index per component)
-    is white."""
+def bipartite_color(forest: Forest) -> dict[int, str]:
+    """Proper 2-coloring; the smallest vertex of each component is white."""
     color: dict[int, str] = {}
-    for comp in forest.components():
-        root = anchor if anchor in comp else min(comp)
+    for comp in forest.components:
+        root = min(comp)
         color[root] = WHITE
         stack = [root]
         while stack:
@@ -302,7 +290,7 @@ def leafy_tiling(forest: Forest) -> DominoTiling:
     """
     dominoes = []
     covered = set()
-    for comp in forest.components():
+    for comp in forest.components:
         root = max(comp)
         order, parent = [root], {root: None}
         queue = [root]
@@ -345,19 +333,15 @@ def _flip_schedule(forest: Forest, tiling: DominoTiling,
             if s != s2 and s in indeg:
                 before[s2].add(s)
                 indeg[s] += 1
-    ready = sorted(v for v in todo if indeg[v] == 0)
+    ready = [v for v in todo if indeg[v] == 0]  # sorted, so a heap
     order = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        changed = False
         for s in before[v]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, s)
     if len(order) != len(todo):
         raise AssertionError("cyclic flip constraints on a forest")
     return order
@@ -375,14 +359,6 @@ def flip_plan(forest: Forest, tiling: DominoTiling
             t = tiling.partner(s)
             plan.append((s, t, tuple(u for u in forest.adjacency[t] if u != s)))
     return tuple(plan)
-
-
-def white_leaf(forest: Forest, tiling: DominoTiling,
-               coloring: dict[int, str]) -> int:
-    """First white vertex in the flip schedule of the covered subgraph."""
-    if not tiling.covered:
-        raise EmptyCoveredSet("tiling covers no vertices")
-    return _flip_schedule(forest, tiling, coloring, WHITE)[0]
 
 
 # ---------------------------------------------------------------------------

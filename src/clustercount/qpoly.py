@@ -127,7 +127,9 @@ class FamilyPolicy:
 
     @property
     def degree_bound(self) -> int:
-        return self.rank
+        """The rank, at least 1: a count polynomial of A_n, D_n or E_n has
+        degree n, and a fit needs two samples."""
+        return max(self.rank, 1)
 
     def params_for(self, field: Field) -> tuple[int, ...] | None:
         """The first tuple of units, in encoding order, that lies in this
@@ -176,15 +178,16 @@ def _primes_from(start: int):
 
 
 def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
-                   extra: int = 2, counter=None, memo: dict | None = None) -> FitReport:
+                   extra: int = 2, memo: dict | None = None) -> FitReport:
     """Fit the count polynomial of a family branch and verify it on held-out
     primes.
 
     Counts run at the first degree+1 admissible primes >= 3, then `extra`
     more; the interpolant must have integer coefficients and zero held-out
-    residuals (a mismatch raises HeldOutMismatch).  Counting defaults to the
-    leaf-removal recursion, which stays fast at the larger primes.  A degree
-    below 1 or a negative `extra` raises ValueError.
+    residuals (a mismatch raises HeldOutMismatch).  Counting is by the
+    leaf-removal recursion, which stays fast at the larger primes, sharing
+    `memo` when given.  A degree below 1 or a negative `extra` raises
+    ValueError.
     """
     degree = policy.degree_bound if degree is None else degree
     if degree < 1:
@@ -192,10 +195,7 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
     if extra < 0:
         raise ValueError(f"the held-out prime count must be at least 0, "
                          f"got {extra}")
-    if counter is None:
-        memo = {} if memo is None else memo
-        def counter(inst):
-            return recursive_count(inst, memo).count
+    memo = {} if memo is None else memo
     samples: list[tuple[int, int]] = []
     held: list[tuple[int, int]] = []
     for p in _primes_from(3):
@@ -204,7 +204,7 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
         if inst is None:
             continue
         target = samples if len(samples) <= degree else held
-        target.append((p, counter(inst)))
+        target.append((p, recursive_count(inst, memo).count))
         if len(samples) > degree and len(held) >= extra:
             break
     poly = interpolate_counts(samples)

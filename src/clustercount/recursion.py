@@ -91,7 +91,7 @@ def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
 
 def _count_forest(forest: Forest, values: dict[int, int], field: Field,
                   memo: dict) -> int:
-    comps = forest.components()
+    comps = forest.components
     if len(comps) == 1:
         return _count_tree(forest, values, field, memo)
     total = 1

@@ -156,14 +156,14 @@ def _random_tree(rng: random.Random, n: int) -> Forest:
     return Forest.make(range(1, n + 1), edges)
 
 
-def suite_reduction(cases: int = 500, seed: int = 20250810) -> SuiteResult:
-    """Randomized trees (<= 7 vertices, q in {2,3,5}): the brute count is
-    invariant under a random flip and under full normalization, and the
+def suite_reduction() -> SuiteResult:
+    """500 randomized trees (<= 7 vertices, q in {2,3,5}): the brute count
+    is invariant under a random flip and under full normalization, and the
     normalized map is 1 on every covered vertex."""
-    rng = random.Random(seed)
+    rng = random.Random(20250810)
 
     def checks():
-        for case in range(cases):
+        for case in range(500):
             n = rng.randint(1, 7)
             q = rng.choice((2, 3, 5))
             field = field_make(q)

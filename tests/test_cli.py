@@ -8,7 +8,7 @@ import pytest
 
 import clustercount
 from clustercount import _countpy
-from clustercount.cli import main
+from clustercount.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +106,17 @@ class TestCount:
         assert out == ""
         assert err.startswith(f"error: --alpha {item}: vector longer than "
                               f"extension degree {1 if q == '5' else 2}")
+
+    @pytest.mark.parametrize("alpha,message", [
+        ("1,,1", "item 2 (): not an integer"),
+        ("1,2.5,1", "item 2 (2.5): not an integer"),
+        ("1:x", "item 1 (1:x): not a vector of integers")])
+    def test_alpha_non_integer_item_rejected(self, capsys, alpha, message):
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "3", "--q", "9", "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --alpha {message}\n"
 
     @pytest.mark.parametrize("alpha", ["4", ""])
     def test_alpha_with_coeff_file_rejected(self, capsys, tmp_path, alpha):
@@ -234,6 +245,17 @@ class TestOtherCommands:
         assert payload["polynomial"] == "q^2 + 1"
         assert payload["held_out"] == []
 
+    def test_interpolate_rank_zero(self, capsys):
+        # the default degree bound is at least 1, so the empty forest fits 1
+        code, out, _ = run_cli(capsys, "interpolate", "--type", "A", "--rank",
+                               "0")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["polynomial"] == "1"
+        assert payload["samples"] == [[3, 1], [5, 1]]
+        assert payload["held_out"] == [[7, 1], [11, 1]]
+        assert payload["ok"] is True
+
     @pytest.mark.parametrize("flag, value", [("--extra", "-1"),
                                              ("--degree", "0"),
                                              ("--degree", "-2")])
@@ -253,6 +275,18 @@ class TestOtherCommands:
     def test_check_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "check", "--suite", "nope")
         assert code == 2
+
+
+def test_parser_built_once(capsys):
+    # two commands in one process share the parser and both answer right
+    parser = build_parser()
+    code, out, _ = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                           "--q", "3", "--method", "recursion")
+    assert code == 0 and json.loads(out)["count"] == "10"
+    code, out, _ = run_cli(capsys, "normalize", "--type", "A", "--rank", "2",
+                           "--q", "5", "--alpha", "2,3")
+    assert code == 0 and json.loads(out)["normalized"] == {"1": "1", "2": "1"}
+    assert build_parser() is parser
 
 
 def test_module_invocation_smoke():

@@ -8,7 +8,7 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           normalize)
 from clustercount.coeffs import parse_coeff_text
 from clustercount.errors import NotAdjacent, NotALeaf, ZeroCoefficient
-from clustercount.forests import DominoTiling, bipartite_color
+from clustercount.forests import DominoTiling, bipartite_color, flip_plan
 from clustercount.gf import field_make
 
 from helpers import random_coeffs, random_tree
@@ -125,22 +125,20 @@ class TestNormalize:
         assert norm.trace == ()
 
     def test_schedule_matches_order_oracle(self):
-        # The flip schedule's first white vertex must be one the exhaustive
+        # The flip plan's first (white) flip must be one the exhaustive
         # order oracle accepts.  For the 4-path with dominoes {1-2, 3-4}
         # the only valid start is vertex 1.
         f = dynkin("A", 4)
         F5 = field_make(5)
         t = DominoTiling.make([(1, 2), (3, 4)])
-        col = bipartite_color(f, anchor=1)
+        col = bipartite_color(f)
         cm = CoeffMap.make(F5, {1: 2, 2: 3, 3: 4, 4: 2})
         starts = _valid_first_flips(f, t, col, cm)
         assert starts == {1}
-        from clustercount import white_leaf
-        assert white_leaf(f, t, col) in starts
+        assert flip_plan(f, t)[0][0] in starts
 
     def test_schedule_oracle_random(self):
         rng = random.Random(31)
-        from clustercount import white_leaf
         for _ in range(40):
             f = random_tree(rng, rng.randint(2, 7))
             F5 = field_make(5)
@@ -151,7 +149,7 @@ class TestNormalize:
             cm = random_coeffs(rng, F5, f)
             starts = _valid_first_flips(f, t, col, cm)
             if starts:  # generic coefficients: schedule must start correctly
-                assert white_leaf(f, t, col) in starts
+                assert flip_plan(f, t)[0][0] in starts
 
     def test_normalize_preserves_count_and_covers(self):
         rng = random.Random(37)

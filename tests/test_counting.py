@@ -8,7 +8,6 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
 from clustercount import _countpy, counting
-from clustercount.counting import estimate_ops
 from clustercount.errors import BudgetExceeded
 from clustercount.recursion import recursive_count
 
@@ -176,6 +175,33 @@ class TestBruteCount:
         hi = brute_count(inst, jobs=4).count
         assert lo == hi
 
+    @pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # a stand-in pool records its size and maps in-process, so a large
+        # `jobs` starts no process
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, workers):
+                seen.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(counting, "_PARALLEL_THRESHOLD", 1 << 12)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+        inst = normal_form_instance(field_make(5), "A", 8)
+        assert (brute_count(inst, jobs=1000).count
+                == counting._count_scalar(inst, 0, 5**8))
+        assert seen == workers
+
     def test_forest_multiplicativity(self):
         rng = random.Random(6)
         for _ in range(25):
@@ -220,9 +246,9 @@ class TestBruteCount:
 
     def test_budget_enforced(self):
         inst = _instance("A", 8, field_make(7))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             brute_count(inst, budget=1000)
-        assert estimate_ops(8, 7) == 8 * 7**8
+        assert exc.value.estimate == 8 * 7**8
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("CLUSTERCOUNT_BUDGET", "10")

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from clustercount import (DominoTiling, Forest, bipartite_color,
-                          canonical_form, dynkin, dynkin_tiling,
-                          e_long_branch_end, leafy_tiling, normal_form_slots,
-                          white_leaf)
-from clustercount.errors import BadRank, EmptyCoveredSet
-from clustercount.forests import BLACK, WHITE, check_rank, parse_tree_text
+                          canonical_form, dynkin, dynkin_tiling, leafy_tiling,
+                          normal_form_slots)
+from clustercount.errors import BadRank
+from clustercount.forests import (BLACK, WHITE, check_rank, flip_plan,
+                                  parse_tree_text)
 
 from helpers import random_tree
 
@@ -34,7 +34,6 @@ class TestDynkin:
         assert sorted(e6.degree(v) for v in e6.vertices) == [1, 1, 1, 2, 2, 3]
         e8 = dynkin("E", 8)
         assert e8.degree(1) == 3
-        assert e_long_branch_end(7) == 7
 
     def test_bad_ranks(self):
         with pytest.raises(BadRank):
@@ -71,7 +70,7 @@ class TestDynkin:
 class TestColoring:
     def test_path(self):
         f = dynkin("A", 3)
-        assert bipartite_color(f, anchor=1) == {1: WHITE, 2: BLACK, 3: WHITE}
+        assert bipartite_color(f) == {1: WHITE, 2: BLACK, 3: WHITE}
 
     def test_single_vertex(self):
         f = dynkin("A", 1)
@@ -79,7 +78,7 @@ class TestColoring:
 
     def test_d4(self):
         f = dynkin("D", 4)
-        assert bipartite_color(f, anchor=1) == {
+        assert bipartite_color(f) == {
             1: WHITE, 2: WHITE, 3: BLACK, 4: WHITE}
 
     def test_proper_on_all_labeled_trees_up_to_6(self):
@@ -106,7 +105,7 @@ class TestLeafyTiling:
     def test_a4_full(self):
         t = leafy_tiling(dynkin("A", 4))
         assert set(t.dominoes) == {(1, 2), (3, 4)}
-        assert t.is_full(dynkin("A", 4))
+        assert t.covered == set(dynkin("A", 4).vertices)
 
     def test_a3_avoids_first_vertex(self):
         t = leafy_tiling(dynkin("A", 3))
@@ -139,16 +138,12 @@ class TestLeafyTiling:
             DominoTiling.make([(1, 2), (2, 3)])
 
 
-class TestWhiteLeaf:
+class TestFlipPlan:
     def test_a2_full(self):
+        # vertex 1 is white, so its flip over 2 comes first
         f = dynkin("A", 2)
         t = DominoTiling.make([(1, 2)])
-        assert white_leaf(f, t, {1: WHITE, 2: BLACK}) == 1
-
-    def test_single_domino_returns_white_end(self):
-        f = dynkin("A", 2)
-        t = DominoTiling.make([(1, 2)])
-        assert white_leaf(f, t, {1: BLACK, 2: WHITE}) == 2
+        assert flip_plan(f, t)[0] == (1, 2, ())
 
     def test_a4_schedule_start(self):
         # Only the order 1-then-3 leaves both covered whites at coefficient
@@ -156,13 +151,10 @@ class TestWhiteLeaf:
         # the schedule must start at 1; see test_coeffs for the order oracle.
         f = dynkin("A", 4)
         t = DominoTiling.make([(1, 2), (3, 4)])
-        col = {1: WHITE, 2: BLACK, 3: WHITE, 4: BLACK}
-        assert white_leaf(f, t, col) == 1
+        assert flip_plan(f, t)[0][0] == 1
 
-    def test_empty_tiling_raises(self):
-        f = dynkin("A", 2)
-        with pytest.raises(EmptyCoveredSet):
-            white_leaf(f, DominoTiling.make([]), {1: WHITE, 2: BLACK})
+    def test_empty_tiling_gives_no_flips(self):
+        assert flip_plan(dynkin("A", 2), DominoTiling.make([])) == ()
 
 
 class TestCanonicalForm:
@@ -251,7 +243,7 @@ class TestForestBasics:
 
     def test_components(self):
         f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (4, 5)])
-        assert f.components() == ((1, 2), (3,), (4, 5))
+        assert f.components == ((1, 2), (3,), (4, 5))
 
     def test_induced_on_every_vertex_is_the_forest(self):
         f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (2, 3), (4, 5)])
@@ -259,7 +251,7 @@ class TestForestBasics:
             assert (same.vertices, same.edges) == (f.vertices, f.edges)
         sub = f.induced([2, 3, 4])
         assert (sub.vertices, sub.edges) == ((2, 3, 4), ((2, 3),))
-        assert sub.components() == ((2, 3), (4,))
+        assert sub.components == ((2, 3), (4,))
 
     def test_parse_tree_text(self):
         f = parse_tree_text("1 2\n2 3\n5\n# comment\n")

@@ -128,9 +128,11 @@ class TestFitAndVerify:
             assert rep.polynomial.is_integral()
 
     def test_brute_counter_agrees_on_small_family(self):
-        rep = fit_and_verify(FamilyPolicy("A", 2, "generic"),
-                             counter=lambda inst: brute_count(inst).count)
+        policy = FamilyPolicy("A", 2, "generic")
+        rep = fit_and_verify(policy)
         assert str(rep.polynomial) == "q^2 + 1"
+        for q, count in rep.samples + rep.held_out:
+            assert count == brute_count(policy.instance(field_make(q))).count
 
     def test_no_held_out_primes(self):
         rep = fit_and_verify(FamilyPolicy("A", 2, "generic"), extra=0)

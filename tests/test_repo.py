@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -24,3 +25,23 @@ def test_public_names_resolve():
     namespace = {}
     exec("from clustercount import *", namespace)
     assert set(clustercount.__all__) <= set(namespace)
+
+
+def test_exported_names_are_used():
+    # every public name is used by the package itself or by the benchmark,
+    # not only by the tests
+    import clustercount
+
+    sources = [p for p in (ROOT / "src" / "clustercount").glob("*.py")
+               if p.name != "__init__.py"]
+    sources += (ROOT / "perfbench").glob("*.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+    assert sorted(set(clustercount.__all__) - used) == []
