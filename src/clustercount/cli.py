@@ -114,12 +114,14 @@ def _build_instance(args, field) -> tuple[VarietyInstance, str | None, int | Non
     return VarietyInstance(forest, cm, field), t, rank
 
 
-def _method_report(report) -> dict:
+def _method_report(report, stats: bool) -> dict:
     out = {"count": str(report.count), "elapsed_ms": round(report.elapsed_ms, 2)}
     if report.branch:
         out["branch"] = report.branch
     if report.engine:
         out["engine"] = report.engine
+    if stats:
+        out["stats"] = report.stats
     return out
 
 
@@ -157,8 +159,11 @@ def cmd_count(args) -> int:
         "elapsed_ms": round(sum(r.elapsed_ms for r in results.values()), 2),
     }
     if len(results) > 1:
-        out["methods"] = {m: _method_report(r) for m, r in results.items()}
+        out["methods"] = {m: _method_report(r, args.stats)
+                          for m, r in results.items()}
         out["agree"] = agree
+    elif args.stats:
+        out["stats"] = next(iter(results.values())).stats
     _emit(out)
     return 0 if agree else MATH_ERROR
 
@@ -266,6 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                          help="parallel workers for enumeration, at most "
                               "one per CPU")
+    p_count.add_argument("--stats", action="store_true",
+                         help="add each method's work counts (recursion: "
+                              "memo nodes added, canonical forms built; "
+                              "null for a method that records none)")
     p_count.set_defaults(fn=cmd_count)
 
     p_norm = sub.add_parser("normalize",

@@ -73,6 +73,8 @@ def apply_flips(field: Field, values: dict[int, int],
     vals = dict(values)
     for s, _, others in flips:
         a_s = vals[s]
+        if a_s == 1:  # already 1, and dividing by 1 changes nothing
+            continue
         if a_s == 0:
             raise ZeroCoefficient(f"cannot flip zero coefficient at vertex {s}")
         inv = field.inv_enc(a_s)

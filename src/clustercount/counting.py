@@ -125,6 +125,7 @@ class CountReport:
     branch: str | None = None
     elapsed_ms: float = 0.0
     engine: str | None = None
+    stats: dict | None = None
 
     def __post_init__(self):
         if self.count < 0:

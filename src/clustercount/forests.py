@@ -36,34 +36,24 @@ class Forest:
 
     @staticmethod
     def make(vertices, edges) -> "Forest":
+        """The forest on `vertices` with `edges`; an edge given twice is
+        kept once.  ValueError on a loop, an undeclared vertex or a cycle."""
         vs = tuple(sorted(set(int(v) for v in vertices)))
         vset = set(vs)
-        es = set()
+        es = {}
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"loop edge at vertex {u}")
             if u not in vset or v not in vset:
                 raise ValueError(f"edge {u}-{v} uses an undeclared vertex")
-            es.add((min(u, v), max(u, v)))
-        f = Forest(vs, tuple(sorted(es)))
-        f._check_acyclic()
-        return f
-
-    def _check_acyclic(self):
-        parent = {v: v for v in self.vertices}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError(f"edge {u}-{v} closes a cycle")
-            parent[ru] = rv
+            es[min(u, v), max(u, v)] = None
+        es = list(es)
+        closing = _closing_edge(es)
+        if closing is not None:
+            u, v = es[closing]
+            raise ValueError(f"edge {u}-{v} closes a cycle")
+        return Forest(vs, tuple(sorted(es)))
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -110,9 +100,24 @@ class Forest:
             tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
+    @cached_property
+    def _removals(self) -> dict[frozenset, "Forest"]:
+        return {}
+
     def remove(self, drop) -> "Forest":
-        drop = set(drop)
-        return self.induced(v for v in self.vertices if v not in drop)
+        """The subforest without the vertices in `drop`: one object per
+        dropped set, so what is cached on it is computed once."""
+        drop = frozenset(drop)
+        sub = self._removals.get(drop)
+        if sub is None:
+            sub = self._removals[drop] = self.induced(
+                v for v in self.vertices if v not in drop)
+        return sub
+
+    @cached_property
+    def component_forests(self) -> tuple["Forest", ...]:
+        """The subforest on each of `components`, in that order."""
+        return tuple(self.induced(comp) for comp in self.components)
 
     def relabel(self, mapping: dict[int, int]) -> "Forest":
         return Forest.make(
@@ -146,6 +151,27 @@ class Forest:
                 (v, tuple(u for u in self.adjacency[v] if u != parent[v]))
                 for v in reversed(top_down))))
         return tuple(plan)
+
+
+def _closing_edge(edges) -> int | None:
+    """Index of the first of `edges`, in their order, that closes a cycle
+    with the ones before it (a repeated edge closes one); None when there
+    is none."""
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, (u, v) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return i
+        parent[ru] = rv
+    return None
 
 
 def _centres(forest: Forest, comp: tuple[int, ...]) -> tuple[int, ...]:
@@ -393,7 +419,10 @@ def canonical_form(forest: Forest, labels: dict[int, object] | None = None) -> s
 # ---------------------------------------------------------------------------
 
 def parse_tree_text(text: str) -> Forest:
-    vertices, edges = set(), []
+    """The forest of a tree file.  A line that is not 'u v' or 'v', a loop,
+    an edge given twice and the edge that closes a cycle are ValueErrors
+    that name their line."""
+    vertices, edge_line = set(), {}  # edge -> its line, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -404,11 +433,23 @@ def parse_tree_text(text: str) -> Forest:
             ends = ()
         if len(ends) == 1:
             vertices.add(ends[0])
-        elif len(ends) == 2:
-            vertices.update(ends)
-            edges.append(ends)
-        else:
+            continue
+        if len(ends) != 2:
             raise ValueError(f"line {lineno}: expected 'u v' or 'v', got {raw!r}")
+        u, v = ends
+        if u == v:
+            raise ValueError(f"line {lineno}: loop edge at vertex {u}")
+        edge = min(u, v), max(u, v)
+        if edge in edge_line:
+            raise ValueError(f"line {lineno}: edge {u}-{v} given twice, "
+                             f"first on line {edge_line[edge]}")
+        vertices.update(ends)
+        edge_line[edge] = lineno
+    edges = list(edge_line)
+    closing = _closing_edge(edges)
+    if closing is not None:
+        u, v = edges[closing]
+        raise ValueError(f"line {edge_line[u, v]}: edge {u}-{v} closes a cycle")
     return Forest.make(vertices, edges)
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from clustercount import CoeffMap, Forest, VarietyInstance
+from clustercount import (CoeffMap, Forest, VarietyInstance, canonical_form,
+                          leafy_tiling, normalize)
+from clustercount.recursion import _pick_leaf
 
 
 def naive_count(instance: VarietyInstance) -> int:
@@ -30,6 +32,57 @@ def naive_count(instance: VarietyInstance) -> int:
                 break
         total += ok
     return total
+
+
+def reference_recursion(instance: VarietyInstance, memo: dict) -> int:
+    """The leaf-removal recursion of `recursive_count` with nothing reused
+    but `memo`: every subforest is built afresh by `Forest.make`, and every
+    tree's key is the canonical form of `normalize` on its leafy tiling,
+    computed anew each time.  Splits at the same leaves, so it fills `memo`
+    with the library's keys and counts."""
+    fld = instance.field
+    q = fld.q
+
+    def without(forest, drop):
+        return Forest.make([v for v in forest.vertices if v not in drop],
+                           [e for e in forest.edges
+                            if e[0] not in drop and e[1] not in drop])
+
+    def count_tree(tree, values):
+        if tree.n_vertices == 0:
+            return 1
+        if tree.n_vertices == 1:
+            (a,) = values.values()
+            return 2 * q - 1 if a == fld.neg_enc(1) else q - 1
+        norm = normalize(tree, leafy_tiling(tree), CoeffMap(fld, values))
+        key = canonical_form(tree, norm.coeffs.values), q
+        if key in memo:
+            return memo[key]
+        leaf = _pick_leaf(tree)
+        g = tree.adjacency[leaf][0]
+        scale = fld.neg_enc(fld.inv_enc(values[leaf]))  # -1/alpha_leaf
+        inner = without(tree, {leaf, g})
+        double = {v: values[v] for v in inner.vertices}
+        for v in tree.adjacency[g]:
+            if v != leaf:
+                double[v] = fld.mul_enc(double[v], scale)
+        total = q * count_forest(inner, double)
+        rest = without(tree, {leaf})
+        for beta in range(1, q):
+            child = {v: values[v] for v in rest.vertices}
+            child[g] = beta
+            total += count_forest(rest, child)
+        memo[key] = total
+        return total
+
+    def count_forest(forest, values):
+        total = 1
+        for comp in forest.components:
+            tree = without(forest, set(forest.vertices) - set(comp))
+            total *= count_tree(tree, {v: values[v] for v in comp})
+        return total
+
+    return count_forest(instance.forest, dict(instance.coeffs.values))
 
 
 def record_satisfies(instance: VarietyInstance, record) -> bool:

@@ -152,6 +152,39 @@ class TestCount:
         assert out == ""
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n2 2\n", "error: line 2: loop edge at vertex 2"),
+        ("1 2\n2 3\n3 1\n", "error: line 3: edge 1-3 closes a cycle"),
+        ("1 2\n2 1\n", "error: line 2: edge 2-1 given twice, first on "
+                        "line 1")])
+    def test_bad_tree_file_rejected(self, capsys, tmp_path, text, message):
+        tree = tmp_path / "tree.txt"
+        tree.write_text(text)
+        code, out, err = run_cli(capsys, "count", "--tree-file", str(tree),
+                                 "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+    def test_stats(self, capsys):
+        argv = ["count", "--type", "E", "--rank", "8", "--q", "13",
+                "--method", "recursion"]
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--stats")
+        assert code == 0
+        payload, plain = json.loads(out), json.loads(plain)
+        assert payload.pop("stats") == {"nodes": 40, "canonical_forms": 41}
+        payload.pop("elapsed_ms")
+        plain.pop("elapsed_ms")
+        assert payload == plain
+        code, out, _ = run_cli(capsys, "count", "--type", "A", "--rank", "2",
+                               "--q", "3", "--stats")
+        methods = json.loads(out)["methods"]
+        assert methods["recursion"]["stats"] == {"nodes": 1,
+                                                 "canonical_forms": 1}
+        assert methods["brute"]["stats"] is None
+        assert methods["formula"]["stats"] is None
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",

@@ -253,13 +253,31 @@ class TestForestBasics:
         assert (sub.vertices, sub.edges) == ((2, 3, 4), ((2, 3),))
         assert sub.components == ((2, 3), (4,))
 
+    def test_remove_is_one_object_per_dropped_set(self):
+        f = Forest.make(range(1, 7), [(1, 2), (2, 3), (3, 4), (3, 5), (5, 6)])
+        sub = f.remove([3, 1])
+        assert f.remove((1, 3)) is sub
+        assert f.remove({3, 1, 3}) is sub
+        assert sub == Forest.make([2, 4, 5, 6], [(5, 6)])
+        assert f.remove([1]) is not sub
+        assert sub.component_forests == (
+            Forest.make([2], []), Forest.make([4], []),
+            Forest.make([5, 6], [(5, 6)]))
+
+    def test_make_names_first_edge_closing_cycle(self):
+        # in the order given, a repeated edge kept once
+        with pytest.raises(ValueError, match="^edge 1-4 closes a cycle"):
+            Forest.make(range(1, 5), [(3, 4), (1, 2), (2, 1), (2, 3), (4, 1)])
+
     def test_parse_tree_text(self):
         f = parse_tree_text("1 2\n2 3\n5\n# comment\n")
         assert f.vertices == (1, 2, 3, 5)
         assert f.edges == ((1, 2), (2, 3))
 
     @pytest.mark.parametrize("text, lineno", [
-        ("1 2\nx y\n", 2), ("1 2 3\n", 1), ("# c\n\n4 z\n", 3)])
+        ("1 2\nx y\n", 2), ("1 2 3\n", 1), ("# c\n\n4 z\n", 3),
+        ("1 2\n2 2\n", 2), ("1 2\n2 3\n3 1\n", 3), ("1 2\n2 1\n", 2),
+        ("3 4\n1 2\n2 3\n# c\n4 1\n", 5)])
     def test_parse_tree_text_names_bad_line(self, text, lineno):
         with pytest.raises(ValueError, match=f"^line {lineno}: "):
             parse_tree_text(text)

@@ -14,7 +14,7 @@ from clustercount.formulas import formula_count
 from clustercount.recursion import (_memo_key, leaf_split_counts,
                                     recursive_count)
 
-from helpers import random_coeffs, random_tree, spider
+from helpers import random_coeffs, random_tree, reference_recursion, spider
 
 
 def test_a2_all_ones_q3():
@@ -177,3 +177,55 @@ def test_memo_grows_linearly_in_q(q):
         memo = {}
         recursive_count(normal_form_instance(F, t, rank, params), memo)
         assert len(memo) == size, (t, rank)
+
+
+def test_matches_reference_recursion():
+    # the key cache and the shared subforests change no key: the same
+    # count, memo size and memo as normalizing every child afresh
+    rng = random.Random(71)
+    for i in range(105):
+        q = (2, 3, 4, 5, 7, 8, 9)[i % 7]
+        F = field_from_order(q)
+        tree = random_tree(rng, rng.randint(1, 8 if q < 7 else 6))
+        f = Forest.make(tree.vertices,
+                        [e for e in tree.edges if rng.random() < 0.8])
+        inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
+        memo, ref_memo = {}, {}
+        assert (recursive_count(inst, memo).count
+                == reference_recursion(inst, ref_memo))
+        assert len(memo) == len(ref_memo)
+        assert memo == ref_memo
+
+
+def test_memo_shared_between_a_and_d():
+    # A_n and D_n on the same labels 1..n, one memo across both
+    F = field_make(7)
+    rng = random.Random(73)
+    memo, ref_memo = {}, {}
+    for n in (4, 5, 6):
+        for t in ("A", "D"):
+            f = dynkin(t, n)
+            inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
+            count = recursive_count(inst, memo).count
+            assert count == reference_recursion(inst, ref_memo)
+            assert count == brute_count(inst).count
+            assert memo == ref_memo
+
+
+@pytest.mark.parametrize("q", (13, 29))
+def test_stats_key_cache_linear_in_q(q):
+    # about one normalized labelled tree per memo entry: the key cache
+    # grows linearly in q, like the memo
+    F = field_make(q)
+    for t, rank in (("A", 4), ("D", 5), ("E", 8)):
+        params = (2,) * len(normal_form_slots(t, rank))
+        memo = {}
+        stats = recursive_count(normal_form_instance(F, t, rank, params),
+                                memo).stats
+        assert stats["nodes"] == len(memo)
+        assert stats["canonical_forms"] <= len(memo) + 1, (t, rank)
+        memo_size = len(memo)
+        again = recursive_count(normal_form_instance(F, t, rank, params),
+                                memo).stats
+        assert again == {"nodes": 0, "canonical_forms": 1}
+        assert len(memo) == memo_size
