@@ -4,8 +4,10 @@ The key fact: for adjacent s-t, rescaling the variable pair at t by the
 coefficient at s gives an isomorphic variety whose coefficient is 1 at s
 and divided by the old value at every other neighbor of t.  Driving these
 flips with a partial domino tiling normalizes the coefficients to 1 on
-every covered vertex (`normalize`); the uncovered residuals depend on the
-flip order, but the point count never changes.
+every covered vertex (`normalize`) and never changes the point count.  The
+result depends only on the tiling: a flip changes a vertex only through
+flips that must come before it, and divisions commute, so every order that
+keeps those constraints gives the same values, uncovered vertices included.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class CoeffMap:
 class NormalForm:
     """Result of tiling-driven normalization, with the flip trace."""
 
-    forest: Forest
-    tiling: DominoTiling
     coeffs: CoeffMap
     trace: tuple[tuple[int, int], ...]
 
@@ -104,8 +104,8 @@ def normalize(forest: Forest, tiling: DominoTiling,
 
     Within a color the flips follow the schedule that never revisits an
     already-normalized vertex, so the result is 1 on every covered vertex.
-    Residual values on uncovered vertices depend on the (recorded) order;
-    only count-equivalence with the input is promised for them.
+    Every order that keeps that constraint gives the same values, on the
+    uncovered vertices too; this one is the order the trace records.
     """
     for v in tiling.covered:
         if coeffs.enc(v) == 0:
@@ -113,7 +113,7 @@ def normalize(forest: Forest, tiling: DominoTiling,
     plan = flip_plan(forest, tiling)
     out = CoeffMap(coeffs.field,
                    apply_flips(coeffs.field, coeffs.values, plan))
-    return NormalForm(forest, tiling, out, tuple((s, t) for s, t, _ in plan))
+    return NormalForm(out, tuple((s, t) for s, t, _ in plan))
 
 
 def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):

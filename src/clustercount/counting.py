@@ -118,9 +118,6 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class CountReport:
-    descriptor: str
-    q: int
-    method: str
     count: int
     branch: str | None = None
     elapsed_ms: float = 0.0
@@ -237,8 +234,7 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
     if total > q ** (2 * n):
         raise ArithmeticError(f"{chosen} scan of {instance.descriptor()} "
                               f"counted {total} points, more than q^(2n)")
-    return CountReport(instance.descriptor(), q, "brute", total,
-                       elapsed_ms=elapsed, engine=chosen)
+    return CountReport(total, elapsed_ms=elapsed, engine=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +276,12 @@ def normal_form_instance(field: Field, dynkin_type: str, rank: int,
     return VarietyInstance(f, CoeffMap.make(field, values), field)
 
 
+def _unit_params(field: Field, dynkin_type: str, rank: int):
+    """Every tuple of units on the normal-form slots, in encoding order."""
+    return itertools.product(range(1, field.q),
+                             repeat=len(normal_form_slots(dynkin_type, rank)))
+
+
 def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:
     """A_n with the coefficient a (zero allowed) on vertex 1 and 1 elsewhere."""
     f = dynkin("A", n)
@@ -288,32 +290,21 @@ def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:
                            field)
 
 
-def count_Y(n: int, field: Field) -> CountReport:
+def count_Y(n: int, field: Field) -> int:
     """Points of the union over invertible leading coefficients of the
     normal-form A_n varieties.  For n = 0 this is the punctured line, q - 1."""
-    start = time.perf_counter()
-    q = field.q
     if n == 0:
-        total = q - 1
-    else:
-        total = sum(brute_count(_a_union_member(field, n, a)).count
-                    for a in range(1, q))
-    elapsed = (time.perf_counter() - start) * 1000
-    return CountReport(f"Y_A{n} over {field!r}", q, "brute", total,
-                       elapsed_ms=elapsed)
+        return field.q - 1
+    return sum(brute_count(_a_union_member(field, n, a)).count
+               for a in range(1, field.q))
 
 
-def count_Z(n: int, field: Field) -> CountReport:
+def count_Z(n: int, field: Field) -> int:
     """Points of the union over ALL leading coefficients (zero included)."""
     if n < 1:
         raise ValueError("Z is defined for n >= 1")
-    start = time.perf_counter()
-    q = field.q
-    total = sum(brute_count(_a_union_member(field, n, a)).count
-                for a in range(q))
-    elapsed = (time.perf_counter() - start) * 1000
-    return CountReport(f"Z_A{n} over {field!r}", q, "brute", total,
-                       elapsed_ms=elapsed)
+    return sum(brute_count(_a_union_member(field, n, a)).count
+               for a in range(field.q))
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +313,10 @@ def count_Z(n: int, field: Field) -> CountReport:
 
 @dataclass(frozen=True)
 class FibrationReport:
-    n: int
-    q: int
     ok: bool
     surjective: bool
     fiber_size: int | None
     total_points: int
-    witness: tuple | None = None
     detail: str = ""
 
 
@@ -350,20 +338,13 @@ def check_z_fibration(n: int, field: Field) -> FibrationReport:
     source = _z_points(n + 1, field)
     target = _z_points(n, field)
     fibers: dict[tuple, int] = {t: 0 for t in target}
-    for (a, xs, xps) in source:
+    for (_, xs, xps) in source:
         image = (xs[0], xs[1:], xps[1:])
         if image not in fibers:
-            return FibrationReport(n, q, False, False, None, len(source),
-                                   witness=(a, xs, xps),
-                                   detail="projected point leaves the target")
+            return FibrationReport(False, False, None, len(source),
+                                   "projected point leaves the target")
         fibers[image] += 1
     sizes = set(fibers.values())
-    surjective = 0 not in sizes
     ok = sizes == {q}
-    witness = None
-    if not ok:
-        bad = next(t for t, c in fibers.items() if c != q)
-        witness = (bad, fibers[bad])
-    return FibrationReport(n, q, ok, surjective, q if ok else None,
-                           len(source), witness=witness,
-                           detail="" if ok else "fiber size mismatch")
+    return FibrationReport(ok, 0 not in sizes, q if ok else None, len(source),
+                           "" if ok else "fiber size mismatch")

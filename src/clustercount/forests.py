@@ -119,12 +119,6 @@ class Forest:
         """The subforest on each of `components`, in that order."""
         return tuple(self.induced(comp) for comp in self.components)
 
-    def relabel(self, mapping: dict[int, int]) -> "Forest":
-        return Forest.make(
-            [mapping[v] for v in self.vertices],
-            [(mapping[u], mapping[v]) for u, v in self.edges],
-        )
-
     @cached_property
     def leafy_flips(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """`flip_plan` of `leafy_tiling(self)`: the flips that `normalize`
@@ -348,8 +342,9 @@ def _flip_schedule(forest: Forest, tiling: DominoTiling,
 
     Flipping s over its partner rescales the coefficients at the partner's
     other neighbors, so s2 must be flipped before s whenever partner(s2) is
-    adjacent to s.  These constraints are acyclic on a forest; ties are
-    broken by smallest vertex index.
+    adjacent to s.  These constraints are acyclic on a forest.  Every order
+    that keeps them normalizes to the same coefficients; ties are broken by
+    smallest vertex index only so that the printed trace is one fixed order.
     """
     todo = sorted(v for v in tiling.covered if coloring[v] == color)
     before: dict[int, set[int]] = {v: set() for v in todo}

@@ -198,11 +198,7 @@ def formula_count(dynkin_type: str, rank: int, coeffs: CoeffMap,
     branch = firing[0]
     value = branch.count(rank, field.q)
     elapsed = (time.perf_counter() - start) * 1000
-    params_str = ",".join(field.text(p) for p in params)
-    return CountReport(
-        f"{dynkin_type.upper()}{rank}(params=[{params_str}]) over {field!r}",
-        field.q, "formula", value, branch=branch.branch_id,
-        elapsed_ms=elapsed)
+    return CountReport(value, branch=branch.branch_id, elapsed_ms=elapsed)
 
 
 def formula_count_params(dynkin_type: str, rank: int, field: Field,
@@ -240,8 +236,6 @@ class CohomologyTable:
     """(degree, weight, dimension) triples of the nonzero compactly-supported
     cohomology groups; all one-dimensional Tate classes."""
 
-    space: str
-    n: int
     entries: tuple[tuple[int, int, int], ...]
 
     def e_polynomial(self, q: int) -> int:
@@ -256,20 +250,17 @@ def cohomology_table(space: str, n: int) -> CohomologyTable:
         if n < 0:
             raise BadRank("Y table needs n >= 0")
         entries = tuple((i + n + 1, i, 1) for i in range(n + 2))
-        return CohomologyTable("Y", n, entries)
+        return CohomologyTable(entries)
     if space == "X":
         if n < 0 or n % 2 != 0:
             raise BadParity(f"X table is defined for even n >= 0, got {n}")
         entries = tuple((i + n, i, 1) for i in range(0, n + 1, 2))
-        return CohomologyTable("X", n, entries)
+        return CohomologyTable(entries)
     raise UnsupportedType(f"unknown space {space!r}; use 'Y' or 'X'")
 
 
 @dataclass(frozen=True)
 class EPolyReport:
-    space: str
-    n: int
-    q: int
     ok: bool
     e_poly_value: int
     count_value: int
@@ -280,4 +271,4 @@ def epoly_check(space: str, n: int, q: int) -> EPolyReport:
     table = cohomology_table(space, n)
     ev = table.e_polynomial(q)
     cv = formula_Y(n, q) if space == "Y" else _a_even(n, q)
-    return EPolyReport(space, n, q, ev == cv, ev, cv)
+    return EPolyReport(ev == cv, ev, cv)

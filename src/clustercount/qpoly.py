@@ -11,13 +11,11 @@ across primes makes the counts non-polynomial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import VarietyInstance, normal_form_instance
+from .counting import VarietyInstance, _unit_params, normal_form_instance
 from .errors import DuplicateAbscissa, HeldOutMismatch, UnsupportedType
-from .forests import normal_form_slots
 from .formulas import branches_for
 from .gf import Field, field_make, is_prime
 from .recursion import recursive_count
@@ -134,7 +132,6 @@ class FamilyPolicy:
     def params_for(self, field: Field) -> tuple[int, ...] | None:
         """The first tuple of units, in encoding order, that lies in this
         branch, or None when the field is too small to realize it."""
-        n_slots = len(normal_form_slots(self.dynkin_type, self.rank))
         branches = branches_for(self.dynkin_type, self.rank)
         if len(branches) == 1:
             if self.branch != "generic":
@@ -146,7 +143,7 @@ class FamilyPolicy:
                            if b.branch_id == f"{family}-{self.branch}"), None)
             if wanted is None:
                 raise UnsupportedType(f"{self.name}: unknown branch")
-        units = itertools.product(range(1, field.q), repeat=n_slots)
+        units = _unit_params(field, self.dynkin_type, self.rank)
         return next((p for p in units if wanted.predicate(p, field)), None)
 
     def instance(self, field: Field) -> VarietyInstance | None:
@@ -158,7 +155,6 @@ class FamilyPolicy:
 
 @dataclass(frozen=True)
 class FitReport:
-    policy: str
     polynomial: QPolynomial
     samples: tuple[tuple[int, int], ...]
     held_out: tuple[tuple[int, int], ...]
@@ -217,5 +213,4 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
         residuals.append(int(predicted - count))
         if predicted != count:
             raise HeldOutMismatch(q, predicted, count)
-    return FitReport(policy.name, poly, tuple(samples), tuple(held),
-                     tuple(residuals))
+    return FitReport(poly, tuple(samples), tuple(held), tuple(residuals))

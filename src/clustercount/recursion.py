@@ -59,9 +59,9 @@ from .forests import Forest, canonical_form
 from .gf import Field
 
 
-def _memo_key(forest: Forest, values: dict[int, int], field: Field):
-    labels = apply_flips(field, values, forest.leafy_flips)
-    return canonical_form(forest, labels), field.q
+def _memo_key(forest: Forest, labels: dict[int, int], q: int):
+    """The memo key of a tree whose normalized coefficients are `labels`."""
+    return canonical_form(forest, labels), q
 
 
 def _pick_leaf(forest: Forest) -> int:
@@ -85,7 +85,7 @@ def _count_tree(forest: Forest, values: dict[int, int], field: Field,
     exact = forest.edges, tuple(map(labels.__getitem__, forest.vertices))
     key = keys.get(exact)
     if key is None:
-        key = keys[exact] = _memo_key(forest, values, field)
+        key = keys[exact] = _memo_key(forest, labels, q)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -144,8 +144,7 @@ def recursive_count(instance: VarietyInstance,
     total = _count_forest(instance.forest, instance.coeffs.values,
                           instance.field, memo, keys)
     elapsed = (time.perf_counter() - start) * 1000
-    return CountReport(instance.descriptor(), instance.field.q, "recursion",
-                       total, elapsed_ms=elapsed,
+    return CountReport(total, elapsed_ms=elapsed,
                        stats={"nodes": len(memo) - before,
                               "canonical_forms": len(keys)})
 

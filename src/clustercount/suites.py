@@ -14,11 +14,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .coeffs import CoeffMap, flip, normalize
-from .counting import (VarietyInstance, brute_count, check_z_fibration,
-                       count_Y, count_Z, normal_form_instance)
+from .counting import (VarietyInstance, _a_union_member, _unit_params,
+                       brute_count, check_z_fibration, count_Y, count_Z,
+                       normal_form_instance)
 from .forests import Forest, dynkin, leafy_tiling
-from .formulas import (branches_for, epoly_check, formula_count_params,
-                       formula_Y, formula_Z)
+from .formulas import (branches_for, epoly_check, formula_count,
+                       formula_count_params, formula_Y, formula_Z)
 from .gf import field_from_order, field_make
 from .qpoly import FamilyPolicy, fit_and_verify
 from .recursion import recursive_count
@@ -55,12 +56,17 @@ def _battery(name, checks):
     return SuiteResult(name, not failures, checked, elapsed, failures)
 
 
-def _three_way(dynkin_type, rank, field, params, memo):
-    """Brute and recursive counts, and the formula report with its branch."""
-    inst = normal_form_instance(field, dynkin_type, rank, params)
-    b = brute_count(inst).count
-    r = recursive_count(inst, memo).count
-    return b, r, formula_count_params(dynkin_type, rank, field, params)
+def _three_way(dynkin_type, rank, field, memo):
+    """For every unit parameter tuple of the family: the check that the
+    brute, recursive and formula counts agree, the brute count, and the
+    formula report with its branch."""
+    for ps in _unit_params(field, dynkin_type, rank):
+        inst = normal_form_instance(field, dynkin_type, rank, ps)
+        b = brute_count(inst).count
+        r = recursive_count(inst, memo).count
+        rep = formula_count(dynkin_type, rank, inst.coeffs, field)
+        yield ((f"{dynkin_type}{rank} q={field.q} params={ps}: "
+                f"{b}/{r}/{rep.count}", b == r == rep.count), b, rep)
 
 
 def _branch(dynkin_type, rank, branch_id):
@@ -78,12 +84,8 @@ def suite_type_a() -> SuiteResult:
         for n in range(9):
             for q in (2, 3, 4, 5, 7):
                 field = field_from_order(q)
-                param_sets = ([()] if n % 2 == 0
-                              else [(a,) for a in range(1, q)])
-                for ps in param_sets:
-                    b, r, rep = _three_way("A", n, field, ps, memo)
-                    yield (f"A{n} q={q} params={ps}: {b}/{r}/{rep.count}",
-                           b == r == rep.count)
+                for check, b, rep in _three_way("A", n, field, memo):
+                    yield check
                     if rep.branch == "A-odd-special":
                         gap = b - _branch("A", n, "A-odd-generic").count(n, q)
                         yield (f"A{n} q={q} special gap {gap}",
@@ -103,15 +105,9 @@ def suite_type_d() -> SuiteResult:
         for n in (4, 5, 6):
             for q in (2, 3, 4, 5):
                 field = field_from_order(q)
-                if n % 2 == 1:
-                    psets = [(a,) for a in range(1, q)]
-                else:
-                    psets = [(a, b) for a in range(1, q) for b in range(1, q)]
-                for ps in psets:
-                    b, r, rep = _three_way("D", n, field, ps, memo)
+                for check, _, rep in _three_way("D", n, field, memo):
                     seen_branches.add(rep.branch)
-                    yield (f"D{n} q={q} params={ps}: {b}/{r}/{rep.count}",
-                           b == r == rep.count)
+                    yield check
         expected = {"D-odd-generic", "D-odd-special", "D-even-generic",
                     "D-even-equal-special", "D-even-one-special",
                     "D-even-double-special"}
@@ -133,6 +129,7 @@ def suite_type_e() -> SuiteResult:
             field = field_from_order(q)
             for rank in (6, 8):
                 f = dynkin("E", rank)
+                fc = formula_count_params("E", rank, field).count
                 for a in range(1, q):
                     values = {v: 1 for v in f.vertices}
                     values[2] = a
@@ -140,13 +137,10 @@ def suite_type_e() -> SuiteResult:
                                            field)
                     b = brute_count(inst).count
                     r = recursive_count(inst, memo).count
-                    fc = formula_count_params("E", rank, field).count
                     yield (f"E{rank} q={q} alpha={a}: {b}/{r}/{fc}",
                            b == r == fc)
-            for a in range(1, q):
-                b, r, rep = _three_way("E", 7, field, (a,), memo)
-                yield (f"E7 q={q} alpha={a}: {b}/{r}/{rep.count}",
-                       b == r == rep.count)
+            yield from (check for check, _, _ in
+                        _three_way("E", 7, field, memo))
 
     return _battery("type-E formula battery", checks())
 
@@ -200,11 +194,11 @@ def suite_yz() -> SuiteResult:
             field = field_make(q)
             ys = {}
             for n in range(6):
-                ys[n] = count_Y(n, field).count
+                ys[n] = count_Y(n, field)
                 yield (f"Y_A{n} q={q}: {ys[n]} vs {formula_Y(n, q)}",
                        ys[n] == formula_Y(n, q))
             for n in range(1, 6):
-                z = count_Z(n, field).count
+                z = count_Z(n, field)
                 yield (f"Z_A{n} q={q}: {z} vs {formula_Z(n, q)}",
                        z == formula_Z(n, q))
                 yield (f"Z_A{n} q={q} decomposition: {z} vs "
@@ -239,13 +233,9 @@ def suite_smoothness() -> SuiteResult:
         for n in range(1, 7):
             for q in (2, 3, 5, 7):
                 field = field_make(q)
-                forest = dynkin("A", n)
                 for a in range(1, q):
-                    values = {v: 1 for v in forest.vertices}
-                    values[1] = a
-                    inst = VarietyInstance(forest,
-                                           CoeffMap.make(field, values), field)
-                    pts = matching_singular_points(inst)
+                    pts = matching_singular_points(
+                        _a_union_member(field, n, a))
                     expect = int(n % 2 == 1 and _branch(
                         "A", n, "A-odd-special").predicate((a,), field))
                     yield (f"A{n} q={q} alpha={a}: {len(pts)} singular, "
@@ -314,19 +304,9 @@ def suite_prime_power() -> SuiteResult:
     def checks():
         for p, k in ((2, 2), (3, 2)):
             field = field_make(p, k)
-            q = field.q
-            for n in range(5):
-                psets = ([()] if n % 2 == 0
-                         else [(a,) for a in range(1, q)])
-                for ps in psets:
-                    b, r, rep = _three_way("A", n, field, ps, memo)
-                    yield (f"A{n} over F_{q} params={ps}: {b}/{r}/{rep.count}",
-                           b == r == rep.count)
-            for a in range(1, q):
-                for bb in range(1, q):
-                    br, rr, rep = _three_way("D", 4, field, (a, bb), memo)
-                    yield (f"D4 over F_{q} params=({a},{bb}): "
-                           f"{br}/{rr}/{rep.count}", br == rr == rep.count)
+            for t, rank in [("A", r) for r in range(5)] + [("D", 4)]:
+                yield from (check for check, _, _ in
+                            _three_way(t, rank, field, memo))
 
     return _battery("prime-power sanity battery", checks())
 

@@ -107,6 +107,12 @@ def random_tree(rng: random.Random, n: int, base: int = 1) -> Forest:
     return Forest.make(verts, edges)
 
 
+def relabel(forest: Forest, mapping: dict[int, int]) -> Forest:
+    """`forest` with each vertex v renamed mapping[v]."""
+    return Forest.make([mapping[v] for v in forest.vertices],
+                       [(mapping[u], mapping[v]) for u, v in forest.edges])
+
+
 def spider(legs) -> Forest:
     """Paths of the given lengths joined at vertex 1; all legs of length 1
     give the star K_{1,m}."""

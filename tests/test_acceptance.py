@@ -33,13 +33,14 @@ def test_criterion_01_type_a_battery():
 
 
 def test_criterion_02_type_d_battery():
-    # n in {4,5,6}, q in {2,3,5}, all unit pairs; all six branches fire
+    # n in {4,5,6}, q in {2,3,4,5}, all unit parameters; all six branches
+    # fire
     _run("typeD", time_limit=120)
 
 
 def test_criterion_03_type_e_battery():
-    # E6/E7/E8 at q in {2,3,4,5}: the criterion range {2,3,5} (E8: {2,3})
-    # plus the budget-headroom cases
+    # E6/E7/E8, each at every q in {2,3,4,5}: the criterion range {2,3,5}
+    # plus the prime power 4
     _run("typeE")
 
 

@@ -6,7 +6,7 @@ import pytest
 from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           dynkin, flip, leaf_removal_transforms, leafy_tiling,
                           normalize)
-from clustercount.coeffs import parse_coeff_text
+from clustercount.coeffs import apply_flips, parse_coeff_text
 from clustercount.errors import NotAdjacent, NotALeaf, ZeroCoefficient
 from clustercount.forests import DominoTiling, bipartite_color, flip_plan
 from clustercount.gf import field_make
@@ -99,6 +99,43 @@ def _valid_first_flips(forest, tiling, coloring, coeffs):
     return good_starts
 
 
+def _random_partial_tiling(rng, forest):
+    """A random matching: the edges in random order, each kept when both
+    ends are still free and a coin says so."""
+    edges = list(forest.edges)
+    rng.shuffle(edges)
+    used, dominoes = set(), []
+    for u, v in edges:
+        if u not in used and v not in used and rng.random() < 0.7:
+            dominoes.append((u, v))
+            used.update((u, v))
+    return DominoTiling.make(dominoes)
+
+
+def _random_flip_order(rng, forest, tiling):
+    """The covered vertices in a random order, both colors mixed, that
+    flips s2 before s whenever the flip of s2 divides the coefficient at s
+    (s is a neighbor of partner(s2))."""
+    divides = {s2: {s for s in forest.adjacency[tiling.partner(s2)]
+                    if s != s2 and s in tiling.covered}
+               for s2 in tiling.covered}
+    indeg = {s: 0 for s in tiling.covered}
+    for targets in divides.values():
+        for s in targets:
+            indeg[s] += 1
+    ready = sorted(s for s, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        s2 = ready.pop(rng.randrange(len(ready)))
+        order.append(s2)
+        for s in divides[s2]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    assert len(order) == len(tiling.covered)
+    return order
+
+
 class TestNormalize:
     def test_a4_full_tiling_all_ones(self):
         f = dynkin("A", 4)
@@ -177,6 +214,25 @@ class TestNormalize:
             for s, partner in norm.trace:
                 replay = flip(f, replay, s, partner)
             assert replay.values == norm.coeffs.values
+
+    def test_result_independent_of_flip_order(self):
+        # every constraint-respecting order gives normalize's coefficients,
+        # on the uncovered vertices too: the fixed schedule only fixes the
+        # printed trace
+        rng = random.Random(47)
+        for i in range(200):
+            f = random_tree(rng, rng.randint(2, 12))
+            F = field_make((5, 7, 11, 13)[i % 4])
+            cm = random_coeffs(rng, F, f)
+            t = leafy_tiling(f) if i % 2 else _random_partial_tiling(rng, f)
+            expected = normalize(f, t, cm).coeffs.values
+            for _ in range(10):
+                flips = []
+                for s in _random_flip_order(rng, f, t):
+                    partner = t.partner(s)
+                    flips.append((s, partner, tuple(
+                        u for u in f.adjacency[partner] if u != s)))
+                assert apply_flips(F, cm.values, flips) == expected
 
     def test_zero_on_covered_vertex_rejected(self):
         f = dynkin("A", 2)

@@ -10,7 +10,7 @@ from clustercount.errors import BadRank
 from clustercount.forests import (BLACK, WHITE, check_rank, flip_plan,
                                   parse_tree_text)
 
-from helpers import random_tree
+from helpers import random_tree, relabel
 
 
 class TestDynkin:
@@ -183,7 +183,7 @@ class TestCanonicalForm:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             mapping = dict(zip(f.vertices, perm))
-            g = f.relabel(mapping)
+            g = relabel(f, mapping)
             relabels = {mapping[v]: labels[v] for v in f.vertices}
             assert canonical_form(f, labels) == canonical_form(g, relabels)
 

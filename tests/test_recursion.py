@@ -85,8 +85,9 @@ def test_memo_key_replays_normalize():
                         [e for e in tree.edges if rng.random() < 0.8])
         cm = random_coeffs(rng, F, f)
         norm = normalize(f, leafy_tiling(f), cm)
-        assert apply_flips(F, cm.values, f.leafy_flips) == norm.coeffs.values
-        assert (_memo_key(f, cm.values, F)
+        labels = apply_flips(F, cm.values, f.leafy_flips)
+        assert labels == norm.coeffs.values
+        assert (_memo_key(f, labels, q)
                 == (canonical_form(f, norm.coeffs.values), q))
 
 
