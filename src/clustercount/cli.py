@@ -259,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                                             "--alpha")
         p.add_argument("--q", type=int, required=True,
                        help="field order (prime power)")
+
+    def add_budget_arg(p):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget in elementary steps "
                             f"(default {DEFAULT_BUDGET}, or "
@@ -266,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count points")
     add_variety_args(p_count)
+    add_budget_arg(p_count)
     p_count.add_argument("--method", default="all",
                          choices=["brute", "recursion", "formula", "all"])
     p_count.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
@@ -284,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sing = sub.add_parser("singular", help="list singular points")
     add_variety_args(p_sing)
+    add_budget_arg(p_sing)
     p_sing.set_defaults(fn=cmd_singular)
 
     p_interp = sub.add_parser("interpolate",

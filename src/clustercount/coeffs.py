@@ -106,11 +106,12 @@ def normalize(forest: Forest, tiling: DominoTiling,
     already-normalized vertex, so the result is 1 on every covered vertex.
     Every order that keeps that constraint gives the same values, on the
     uncovered vertices too; this one is the order the trace records.
+    NotAdjacent when a domino is not an edge of `forest`.
     """
+    plan = flip_plan(forest, tiling)
     for v in tiling.covered:
         if coeffs.enc(v) == 0:
             raise ZeroCoefficient(f"coefficient at covered vertex {v} is zero")
-    plan = flip_plan(forest, tiling)
     out = CoeffMap(coeffs.field,
                    apply_flips(coeffs.field, coeffs.values, plan))
     return NormalForm(out, tuple((s, t) for s, t, _ in plan))

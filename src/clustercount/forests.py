@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadRank
+from .errors import BadRank, NotAdjacent
 
 WHITE = "W"
 BLACK = "B"
@@ -75,21 +75,12 @@ class Forest:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adjacency[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
+        seen, comps = set(), []
+        for v in self.vertices:
+            if v not in seen:
+                top_down, _ = hang(self, (v,))
+                seen.update(top_down)
+                comps.append(tuple(sorted(top_down)))
         return tuple(comps)
 
     def induced(self, keep) -> "Forest":
@@ -128,23 +119,31 @@ class Forest:
     @cached_property
     def _canonical_plan(self):
         """Per component: its one or two centres, and every vertex with its
-        children, listed children first, in the tree hung from the centres.
-        Two centres are each other's parent, so neither is the other's
-        child; a single centre is its own parent."""
+        children, listed children first, in the tree hung from the centres
+        (see `hang`)."""
         plan = []
         for comp in self.components:
             roots = _centres(self, comp)
-            parent = {roots[0]: roots[-1], roots[-1]: roots[0]}
-            top_down = list(roots)
-            for v in top_down:
-                for u in self.adjacency[v]:
-                    if u not in parent:
-                        parent[u] = v
-                        top_down.append(u)
+            top_down, parent = hang(self, roots)
             plan.append((roots, tuple(
                 (v, tuple(u for u in self.adjacency[v] if u != parent[v]))
                 for v in reversed(top_down))))
         return tuple(plan)
+
+
+def hang(forest: Forest, roots) -> tuple[list[int], dict[int, int]]:
+    """The tree of `forest` that holds `roots`, hung from them: its vertices
+    with every parent before its children, and each vertex's parent.  The
+    roots are one vertex, its own parent, or two adjacent vertices, each the
+    other's parent, so neither is the other's child."""
+    parent = {roots[0]: roots[-1], roots[-1]: roots[0]}
+    top_down = list(roots)
+    for v in top_down:
+        for u in forest.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                top_down.append(u)
+    return top_down, parent
 
 
 def _closing_edge(edges) -> int | None:
@@ -169,22 +168,15 @@ def _closing_edge(edges) -> int | None:
 
 
 def _centres(forest: Forest, comp: tuple[int, ...]) -> tuple[int, ...]:
-    """The one or two centres of a tree: what is left after stripping its
-    leaves layer by layer."""
-    degree = {v: forest.degree(v) for v in comp}
-    layer = [v for v in comp if degree[v] <= 1]
-    left = len(comp)
-    while left > 2:
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in forest.adjacency[v]:
-                if degree[u] > 1:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return tuple(sorted(layer))
+    """The one or two centres of a tree: the middle of a longest path, which
+    runs from the last vertex reached from any vertex to the last vertex
+    reached from that one."""
+    end = hang(forest, comp[:1])[0][-1]
+    top_down, parent = hang(forest, (end,))
+    path = [top_down[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    return tuple(sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1]))
 
 
 @dataclass(frozen=True)
@@ -204,16 +196,14 @@ class DominoTiling:
         return DominoTiling(ds)
 
     @cached_property
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.dominoes for v in e)
+    def partner(self) -> dict[int, int]:
+        """Each covered vertex's domino partner."""
+        return {**dict(self.dominoes), **{v: u for u, v in self.dominoes}}
 
-    def partner(self, v: int) -> int:
-        for u, w in self.dominoes:
-            if v == u:
-                return w
-            if v == w:
-                return u
-        raise KeyError(f"vertex {v} is not covered")
+    @property
+    def covered(self):
+        """The covered vertices, as a set-like view of `partner`."""
+        return self.partner.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -287,98 +277,70 @@ def bipartite_color(forest: Forest) -> dict[int, str]:
     """Proper 2-coloring; the smallest vertex of each component is white."""
     color: dict[int, str] = {}
     for comp in forest.components:
-        root = min(comp)
-        color[root] = WHITE
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            nxt = BLACK if color[v] == WHITE else WHITE
-            for u in forest.adjacency[v]:
-                if u not in color:
-                    color[u] = nxt
-                    stack.append(u)
+        top_down, parent = hang(forest, comp[:1])
+        color[comp[0]] = WHITE
+        for v in top_down[1:]:
+            color[v] = BLACK if color[parent[v]] == WHITE else WHITE
     return color
 
 
 def leafy_tiling(forest: Forest) -> DominoTiling:
     """A deterministic partial tiling whose uncovered vertices are all leaves.
 
-    Each component is rooted at its largest vertex and scanned top-down in
-    BFS order; a still-uncovered vertex grabs its largest uncovered child.
-    Any vertex left uncovered therefore has no children at all, i.e. is a
-    leaf (or an isolated vertex).
+    Each component is hung from its largest vertex, and each vertex that its
+    parent did not take takes its largest child.  Any vertex left uncovered
+    therefore has no children at all, i.e. is a leaf (or an isolated vertex).
     """
     dominoes = []
-    covered = set()
     for comp in forest.components:
-        root = max(comp)
-        order, parent = [root], {root: None}
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for u in sorted(forest.adjacency[v], reverse=True):
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-                    queue.append(u)
-        children = {v: [] for v in comp}
-        for v in order[1:]:
-            children[parent[v]].append(v)
-        for v in order:
-            if v in covered:
-                continue
-            free = [c for c in children[v] if c not in covered]
-            if free:
-                c = max(free)
-                dominoes.append((v, c))
-                covered.update((v, c))
+        top_down, parent = hang(forest, comp[-1:])
+        taken = set()
+        for v in top_down:
+            children = [u for u in forest.adjacency[v] if u != parent[v]]
+            if v not in taken and children:
+                dominoes.append((v, children[-1]))
+                taken.add(children[-1])
     return DominoTiling.make(dominoes)
-
-
-def _flip_schedule(forest: Forest, tiling: DominoTiling,
-                   coloring: dict[int, str], color: str) -> list[int]:
-    """Order the covered vertices of one color so that flipping each over its
-    domino partner never revisits an already-normalized vertex.
-
-    Flipping s over its partner rescales the coefficients at the partner's
-    other neighbors, so s2 must be flipped before s whenever partner(s2) is
-    adjacent to s.  These constraints are acyclic on a forest.  Every order
-    that keeps them normalizes to the same coefficients; ties are broken by
-    smallest vertex index only so that the printed trace is one fixed order.
-    """
-    todo = sorted(v for v in tiling.covered if coloring[v] == color)
-    before: dict[int, set[int]] = {v: set() for v in todo}
-    indeg = {v: 0 for v in todo}
-    for s2 in todo:
-        for s in forest.adjacency[tiling.partner(s2)]:
-            if s != s2 and s in indeg:
-                before[s2].add(s)
-                indeg[s] += 1
-    ready = [v for v in todo if indeg[v] == 0]  # sorted, so a heap
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for s in before[v]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != len(todo):
-        raise AssertionError("cyclic flip constraints on a forest")
-    return order
 
 
 def flip_plan(forest: Forest, tiling: DominoTiling
               ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The flips that normalize `tiling`'s covered vertices, whites first,
-    each color in its `_flip_schedule`: triples (s, partner t, the other
-    neighbors of t, whose coefficients the flip divides)."""
-    coloring = bipartite_color(forest)
+    """The flips that normalize `tiling`'s covered vertices: triples (s,
+    partner t, the other neighbors of t, whose coefficients the flip
+    divides).  NotAdjacent when a domino is not an edge of `forest`.
+
+    Flipping s over t rescales the coefficients at t's other neighbors, so
+    s2 must be flipped before s whenever s is adjacent to partner(s2).
+    These constraints are acyclic on a forest, and they never join two
+    colors, as the neighbors of t all have the color of s.  Every order that
+    keeps them normalizes to the same coefficients; the plan takes whites
+    first, then the smallest vertex, only so that the printed trace is one
+    fixed order.
+    """
+    for u, v in tiling.dominoes:
+        if v not in forest.adjacency.get(u, ()):
+            raise NotAdjacent(f"{u}-{v} is not an edge")
+    color = bipartite_color(forest)
+    partner = tiling.partner
+    others = {s: tuple(u for u in forest.adjacency[t] if u != s)
+              for s, t in partner.items()}
+    after = {s: [u for u in others[s] if u in partner] for s in partner}
+    indeg = dict.fromkeys(partner, 0)
+    for us in after.values():
+        for u in us:
+            indeg[u] += 1
+    ready = [(color[s] != WHITE, s) for s in partner if indeg[s] == 0]
+    heapq.heapify(ready)
     plan = []
-    for color in (WHITE, BLACK):
-        for s in _flip_schedule(forest, tiling, coloring, color):
-            t = tiling.partner(s)
-            plan.append((s, t, tuple(u for u in forest.adjacency[t] if u != s)))
+    while ready:
+        _, s = heapq.heappop(ready)
+        plan.append((s, partner[s], others[s]))
+        for u in after[s]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heapq.heappush(ready, (color[u] != WHITE, u))
+    if len(plan) != len(partner):
+        raise AssertionError("cyclic flip constraints on a forest")
     return tuple(plan)
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 from .coeffs import CoeffMap
 from .counting import CountReport, normal_form_instance
 from .errors import BadParity, BadRank, NotNormalized, UnsupportedType
-from .forests import check_rank, dynkin, normal_form_slots
+from .forests import check_rank, normal_form_slots
 from .gf import Field
 
 
@@ -172,8 +172,11 @@ def branches_for(dynkin_type: str, rank: int) -> list[FormulaBranch]:
 def _normal_form_params(dynkin_type: str, rank: int,
                         coeffs: CoeffMap) -> tuple[int, ...]:
     slots = normal_form_slots(dynkin_type, rank)
-    f = dynkin(dynkin_type, rank)
-    for v in f.vertices:
+    vertices = sorted(coeffs.values)
+    if vertices != list(range(1, rank + 1)):
+        raise NotNormalized(f"a rank-{rank} normal form has vertices "
+                            f"1..{rank}, got {vertices}")
+    for v in vertices:
         if v in slots:
             if coeffs.enc(v) == 0:
                 raise NotNormalized(f"parameter at vertex {v} must be invertible")

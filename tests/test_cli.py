@@ -231,6 +231,14 @@ class TestCount:
 
 
 class TestOtherCommands:
+    def test_normalize_takes_no_budget(self, capsys):
+        # normalize enumerates nothing, so a budget would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--type", "A", "--rank", "2", "--q", "3",
+                  "--budget", "5"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_normalize(self, capsys):
         code, out, _ = run_cli(capsys, "normalize", "--type", "A", "--rank",
                                "5", "--alpha", "2,3,4,5,6", "--q", "7")

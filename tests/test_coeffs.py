@@ -93,7 +93,7 @@ def _valid_first_flips(forest, tiling, coloring, coeffs):
     for order in itertools.permutations(whites):
         cur = coeffs
         for s in order:
-            cur = flip(forest, cur, s, tiling.partner(s))
+            cur = flip(forest, cur, s, tiling.partner[s])
         if all(cur.enc(v) == 1 for v in whites):
             good_starts.add(order[0])
     return good_starts
@@ -116,7 +116,7 @@ def _random_flip_order(rng, forest, tiling):
     """The covered vertices in a random order, both colors mixed, that
     flips s2 before s whenever the flip of s2 divides the coefficient at s
     (s is a neighbor of partner(s2))."""
-    divides = {s2: {s for s in forest.adjacency[tiling.partner(s2)]
+    divides = {s2: {s for s in forest.adjacency[tiling.partner[s2]]
                     if s != s2 and s in tiling.covered}
                for s2 in tiling.covered}
     indeg = {s: 0 for s in tiling.covered}
@@ -229,7 +229,7 @@ class TestNormalize:
             for _ in range(10):
                 flips = []
                 for s in _random_flip_order(rng, f, t):
-                    partner = t.partner(s)
+                    partner = t.partner[s]
                     flips.append((s, partner, tuple(
                         u for u in f.adjacency[partner] if u != s)))
                 assert apply_flips(F, cm.values, flips) == expected
@@ -239,6 +239,16 @@ class TestNormalize:
         cm = CoeffMap.make(field_make(3), {1: 0, 2: 1}, allow_zero=True)
         with pytest.raises(ZeroCoefficient):
             normalize(f, DominoTiling.make([(1, 2)]), cm)
+
+    @pytest.mark.parametrize("domino", [(1, 3), (1, 9), (2, 2)])
+    def test_domino_off_the_forest_rejected(self, domino):
+        # a non-edge, a vertex outside the forest and a loop: normalizing
+        # over any of them would change the count
+        f = dynkin("A", 3)
+        cm = CoeffMap.make(field_make(5), {1: 2, 2: 3, 3: 4})
+        with pytest.raises(NotAdjacent,
+                           match="^{}-{} is not an edge$".format(*domino)):
+            normalize(f, DominoTiling.make([domino]), cm)
 
 
 class TestLeafRemoval:

@@ -13,6 +13,24 @@ from clustercount.forests import (BLACK, WHITE, check_rank, flip_plan,
 from helpers import random_tree, relabel
 
 
+def _random_forest(rng, n):
+    """A random forest on n vertices with scattered labels: a random tree,
+    relabeled, that keeps each edge with probability 0.8."""
+    f = random_tree(rng, n)
+    g = relabel(f, dict(zip(f.vertices, rng.sample(range(1, 4 * n + 1), n))))
+    return Forest.make(g.vertices, [e for e in g.edges if rng.random() < 0.8])
+
+
+def _distances(forest, source):
+    dist, todo = {source: 0}, [source]
+    for v in todo:
+        for u in forest.adjacency[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                todo.append(u)
+    return dist
+
+
 class TestDynkin:
     def test_a3_path(self):
         f = dynkin("A", 3)
@@ -133,6 +151,25 @@ class TestLeafyTiling:
                 uncovered = set(f.vertices) - set(t.covered)
                 assert uncovered == set(normal_form_slots(typ, rank))
 
+    def test_each_domino_is_an_untaken_vertex_and_its_largest_child(self):
+        # in each component hung from its largest vertex
+        rng = random.Random(23)
+        for _ in range(300):
+            f = _random_forest(rng, rng.randint(1, 14))
+            depth = {}
+            for comp in f.components:
+                depth.update(_distances(f, max(comp)))
+            parent = {v: u for v in f.vertices for u in f.adjacency[v]
+                      if depth[u] < depth[v]}
+            dominoes = set(leafy_tiling(f).dominoes)
+            for d in dominoes:
+                child = max(d, key=depth.get)
+                top = min(d, key=depth.get)
+                assert child == max(u for u in f.adjacency[top]
+                                    if u != parent.get(top))
+                if top in parent:
+                    assert tuple(sorted((top, parent[top]))) not in dominoes
+
     def test_overlapping_dominoes_rejected(self):
         with pytest.raises(ValueError):
             DominoTiling.make([(1, 2), (2, 3)])
@@ -222,10 +259,118 @@ class TestCanonicalForm:
                     == iso_class[obj]
         assert len(string_class) == len(set(iso_class.values()))
 
+    def test_roots_are_the_vertices_of_least_eccentricity(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            f = _random_forest(rng, rng.randint(1, 14))
+            plan = f._canonical_plan
+            assert len(plan) == len(f.components)
+            for comp, (roots, _) in zip(f.components, plan):
+                ecc = {v: max(_distances(f, v).values()) for v in comp}
+                least = min(ecc.values())
+                assert roots == tuple(v for v in comp if ecc[v] == least)
+
     def test_forest_components_sorted(self):
         f1 = Forest.make([1, 2, 3, 4], [(1, 2)])
         f2 = Forest.make([1, 2, 3, 4], [(3, 4)])
         assert canonical_form(f1) == canonical_form(f2)
+
+
+# Canonical strings (all labels 1) and flip plans: a change to any of them
+# changes the recursion's memo keys or the trace that `normalize` prints.
+PINNED_FORESTS = {
+    "R1": ((3, 4, 5, 9, 13, 15, 16, 19, 21),
+           ((3, 5), (4, 5), (4, 21), (5, 13), (5, 19), (9, 15), (9, 16),
+            (9, 19))),
+    "R2": ((4, 6, 9, 10, 20, 22, 24, 26, 27, 32, 33, 34),
+           ((4, 6), (4, 34), (6, 27), (9, 26), (10, 22), (20, 22), (22, 33),
+            (24, 26), (24, 33), (24, 34), (32, 33))),
+    "R3": ((1, 5, 8, 9, 16, 18, 24, 27, 30, 31, 35, 36, 38),
+           ((1, 5), (1, 30), (5, 24), (9, 24), (9, 27), (9, 35), (9, 36),
+            (16, 35), (18, 27), (24, 31), (24, 38))),
+}
+PINNED = {
+    "A1": ("(1|)",
+           ()),
+    "A2": ("(1|)(1|)",
+           ((1, 2, ()), (2, 1, ()))),
+    "A3": ("(1|(1|)(1|))",
+           ((3, 2, (1,)), (2, 3, ()))),
+    "A4": ("(1|(1|))(1|(1|))",
+           ((1, 2, (3,)), (3, 4, ()), (4, 3, (2,)), (2, 1, ()))),
+    "A5": ("(1|(1|(1|))(1|(1|)))",
+           ((5, 4, (3,)), (3, 2, (1,)), (2, 3, (4,)), (4, 5, ()))),
+    "A6": ("(1|(1|(1|)))(1|(1|(1|)))",
+           ((1, 2, (3,)), (3, 4, (5,)), (5, 6, ()), (6, 5, (4,)),
+            (4, 3, (2,)), (2, 1, ()))),
+    "A7": ("(1|(1|(1|(1|)))(1|(1|(1|))))",
+           ((7, 6, (5,)), (5, 4, (3,)), (3, 2, (1,)), (2, 3, (4,)),
+            (4, 5, (6,)), (6, 7, ()))),
+    "A8": ("(1|(1|(1|(1|))))(1|(1|(1|(1|))))",
+           ((1, 2, (3,)), (3, 4, (5,)), (5, 6, (7,)), (7, 8, ()),
+            (8, 7, (6,)), (6, 5, (4,)), (4, 3, (2,)), (2, 1, ()))),
+    "D4": ("(1|(1|)(1|)(1|))",
+           ((4, 3, (1, 2)), (3, 4, ()))),
+    "D5": ("(1|(1|)(1|))(1|(1|))",
+           ((2, 3, (1, 4)), (4, 5, ()), (5, 4, (3,)), (3, 2, ()))),
+    "D6": ("(1|(1|(1|)(1|))(1|(1|)))",
+           ((6, 5, (4,)), (4, 3, (1, 2)), (3, 4, (5,)), (5, 6, ()))),
+    "D7": ("(1|(1|(1|)(1|)))(1|(1|(1|)))",
+           ((2, 3, (1, 4)), (4, 5, (6,)), (6, 7, ()), (7, 6, (5,)),
+            (5, 4, (3,)), (3, 2, ()))),
+    "D8": ("(1|(1|(1|(1|)(1|)))(1|(1|(1|))))",
+           ((8, 7, (6,)), (6, 5, (4,)), (4, 3, (1, 2)), (3, 4, (5,)),
+            (5, 6, (7,)), (7, 8, ()))),
+    "E6": ("(1|(1|(1|))(1|(1|))(1|))",
+           ((6, 4, (1,)), (1, 3, (5,)), (3, 1, (2, 4)), (4, 6, ()))),
+    "E7": ("(1|(1|(1|))(1|))(1|(1|(1|)))",
+           ((5, 3, (1,)), (1, 4, (6,)), (6, 7, ()), (7, 6, (4,)),
+            (4, 1, (2, 3)), (3, 5, ()))),
+    "E8": ("(1|(1|(1|(1|))(1|))(1|(1|(1|))))",
+           ((8, 7, (6,)), (6, 4, (1,)), (1, 3, (5,)), (3, 1, (2, 4)),
+            (4, 6, (7,)), (7, 8, ()))),
+    "R1": ("(1|(1|(1|)(1|)))(1|(1|(1|))(1|)(1|))",
+           ((16, 9, (15, 19)), (19, 5, (3, 4, 13)), (4, 21, ()),
+            (21, 4, (5,)), (5, 19, (9,)), (9, 16, ()))),
+    "R2": ("(1|(1|(1|(1|)(1|))(1|))(1|(1|)))(1|(1|(1|(1|))))",
+           ((9, 26, (24,)), (32, 33, (22, 24)), (22, 20, ()), (24, 34, (4,)),
+            (4, 6, (27,)), (6, 4, (34,)), (20, 22, (10, 33)),
+            (34, 24, (26, 33)), (26, 9, ()), (33, 32, ()))),
+    "R3": ("(1|(1|(1|(1|))(1|(1|))(1|))(1|(1|(1|)))(1|)(1|));(1|)",
+           ((1, 5, (24,)), (36, 9, (24, 27, 35)), (24, 38, ()), (27, 18, ()),
+            (35, 16, ()), (16, 35, (9,)), (18, 27, (9,)),
+            (38, 24, (5, 9, 31)), (5, 1, (30,)), (9, 36, ()))),
+}
+DYNKIN_FLIPS = {
+    "E6": ((5, 3, (1,)), (6, 4, (1,)), (1, 2, ()), (2, 1, (3, 4)),
+           (3, 5, ()), (4, 6, ())),
+    "E7": ((5, 3, (1,)), (6, 4, (1,)), (1, 2, ()), (2, 1, (3, 4)),
+           (3, 5, ()), (4, 6, (7,))),
+    "E8": ((5, 3, (1,)), (8, 7, (6,)), (6, 4, (1,)), (1, 2, ()),
+           (2, 1, (3, 4)), (3, 5, ()), (4, 6, (7,)), (7, 8, ())),
+}
+
+
+def _pinned_forest(name):
+    if name in PINNED_FORESTS:
+        return Forest.make(*PINNED_FORESTS[name])
+    return dynkin(name[0], int(name[1:]))
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_canonical_form_and_leafy_flips(self, name):
+        f = _pinned_forest(name)
+        string, flips = PINNED[name]
+        assert canonical_form(f, dict.fromkeys(f.vertices, 1)) == string
+        assert flip_plan(f, leafy_tiling(f)) == flips
+
+    @pytest.mark.parametrize("name", [n for n in PINNED if n[0] in "ADE"])
+    def test_dynkin_tiling_flips(self, name):
+        # for A_n and D_n the Dynkin tiling is the leafy one
+        f = _pinned_forest(name)
+        tiling = dynkin_tiling(name[0], int(name[1:]))
+        assert flip_plan(f, tiling) == DYNKIN_FLIPS.get(name, PINNED[name][1])
 
 
 class TestForestBasics:

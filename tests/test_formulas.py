@@ -101,6 +101,10 @@ class TestDispatch:
         bad = CoeffMap(F5, inst.coeffs.values | {2: 3})
         with pytest.raises(NotNormalized):
             formula_count("A", 4, bad, F5)
+        # a vertex missing or one beyond the rank
+        for values in ({1: 1}, {1: 1, 2: 1, 3: 1, 4: 1}):
+            with pytest.raises(NotNormalized, match="vertices 1..3"):
+                formula_count("A", 3, CoeffMap(F5, values), F5)
 
     def test_unsupported_type(self):
         with pytest.raises(UnsupportedType):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -45,3 +46,22 @@ def test_exported_names_are_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
     assert sorted(set(clustercount.__all__) - used) == []
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/spans.py wraps layers by module and attribute name, so a
+    # rename in src/ would drop a layer from the benchmark's trace
+    from clustercount import recursion
+
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        # the memo-key span is counted where the recursion calls it
+        assert hasattr(recursion, "canonical_form")
+    finally:
+        tracer.uninstall()
