@@ -15,8 +15,8 @@ interpolation.
 from .coeffs import (CoeffMap, NormalForm, flip, leaf_removal_transforms,
                      normalize)
 from .counting import (CountReport, EXTENSION_AVAILABLE, FibrationReport,
-                       PointRecord, VarietyInstance, brute_count,
-                       brute_points, check_z_fibration, count_Y, count_Z,
+                       VarietyInstance, brute_count, brute_points,
+                       check_z_fibration, count_Y, count_Z,
                        normal_form_instance)
 from .forests import (DominoTiling, Forest, bipartite_color, canonical_form,
                       dynkin, dynkin_tiling, leafy_tiling, normal_form_slots)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffMap", "CountReport", "DominoTiling", "EXTENSION_AVAILABLE",
     "FibrationReport", "Field", "Forest", "NormalForm",
-    "PointRecord", "VarietyInstance",
+    "VarietyInstance",
     "bipartite_color", "brute_count", "brute_points", "canonical_form",
     "check_z_fibration", "count_Y", "count_Z", "dynkin", "dynkin_tiling",
     "field_from_order", "field_make", "flip", "leaf_removal_transforms",

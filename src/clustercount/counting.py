@@ -11,7 +11,8 @@ q when x_t = 0 and r_t = 0 (x'_t is free), and 0 otherwise.  `vertex_rule`
 states this rule once, and `_live_scalar` scans it over a range of
 assignment indices.  Every scalar count (`_count_scalar`) and every point
 listing (`brute_points`) is built on that one scan; the listing derives the
-determined x' from the right-hand sides and expands the free x' slots.
+determined x' from the right-hand sides and expands the free x' slots
+(`_points_over`, shared with the matching criterion of `singular`).
 `_countpy.count_block` is the vectorised count over fields with lookup
 tables (q <= TABLE_MAX_Q), and the scalar count is its reference.
 `brute_count` splits the index range over a process pool only for scans
@@ -19,8 +20,8 @@ of at least `_PARALLEL_THRESHOLD` = 2^26 assignments, the measured
 break-even of the pool against the NumPy kernel on a 2-CPU host
 (`_SCALAR_PARALLEL_THRESHOLD` = 2^18 for the scalar scan, about 100 times
 slower per assignment); smaller scans run in-process whatever `jobs` is.
-Each point is a `PointRecord`: the vertices and the field, with the x and
-x' encodings as tuples in vertex order.
+A point is the pair (xs, xps) of its x and x' encodings, tuples in vertex
+order.
 
 Also provided: the unions of the normal-form type-A varieties over
 invertible (Y) and over all (Z) leading coefficients, and the exhaustive
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,30 +97,10 @@ class VarietyInstance:
                 f"(alpha=[{alphas}]) over {self.field!r}")
 
 
-class PointRecord:
-    """One point: its x and x' encodings, as the tuples `xs` and `xps` in the
-    order of `vertices`, over `field`.  A plain slotted record, since the
-    listing builds one per point; `key()` is what records sort and compare
-    by."""
-
-    __slots__ = ("vertices", "field", "xs", "xps")
-
-    def __init__(self, vertices: tuple[int, ...], field: Field,
-                 xs: tuple[int, ...], xps: tuple[int, ...]):
-        self.vertices = vertices
-        self.field = field
-        self.xs = xs
-        self.xps = xps
-
-    def key(self) -> tuple:
-        return self.xs, self.xps
-
-
 @dataclass(frozen=True)
 class CountReport:
     count: int
     branch: str | None = None
-    elapsed_ms: float = 0.0
     engine: str | None = None
     stats: dict | None = None
 
@@ -129,12 +109,12 @@ class CountReport:
             raise ValueError("negative count")
 
 
-def _check_budget(n: int, q: int, budget: int | None) -> None:
+def _check_budget(n: int, q: int, budget: int | None, extra: int = 0) -> None:
     """The budget precondition on the cost model n * q^n elementary steps
-    (at least q^n): BudgetExceeded above `budget`, default_budget() when
-    None."""
+    (at least q^n) plus `extra`: BudgetExceeded above `budget`,
+    default_budget() when None."""
     budget = default_budget() if budget is None else budget
-    est = max(1, n) * q**n
+    est = max(1, n) * q**n + extra
     if est > budget:
         raise BudgetExceeded(est, budget)
 
@@ -214,7 +194,6 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
     process pool of min(`jobs`, CPU count) workers, when that is above 1.
     A count above q^(2n), the number of (x, x') pairs, raises
     ArithmeticError."""
-    start = time.perf_counter()
     n, q = instance.n, instance.field.q
     _check_budget(n, q, budget)
     chosen = _pick_engine(engine, instance.field)
@@ -230,33 +209,38 @@ def brute_count(instance: VarietyInstance, *, budget: int | None = None,
                                  [chosen] * workers, bounds[:-1], bounds[1:]))
     else:
         total = _count_range(instance, chosen, 0, space)
-    elapsed = (time.perf_counter() - start) * 1000
     if total > q ** (2 * n):
         raise ArithmeticError(f"{chosen} scan of {instance.descriptor()} "
                               f"counted {total} points, more than q^(2n)")
-    return CountReport(total, elapsed_ms=elapsed, engine=chosen)
+    return CountReport(total, engine=chosen)
 
 
 # ---------------------------------------------------------------------------
 # point listing
 # ---------------------------------------------------------------------------
 
+def _points_over(field: Field, inv, xs, rs, zero_values):
+    """Yield the points (xs, xps) over the x-assignment `xs` with right-hand
+    sides `rs`: x'_t = r_t * inv(x_t) where x_t != 0, and x'_t runs over
+    zero_values[t] where x_t = 0, the last such slot innermost."""
+    mul = field.mul_enc
+    xs = tuple(xs)
+    for xps in itertools.product(*(
+            zero_values[t] if x == 0 else (mul(r, inv(x)),)
+            for t, (x, r) in enumerate(zip(xs, rs)))):
+        yield xs, xps
+
+
 def brute_points(instance: VarietyInstance, *, budget: int | None = None):
-    """Yield every point, lexicographically in the x-assignment (vertex order,
-    then encoding order), with free x' slots expanded innermost.  The live
-    assignments come from `_live_scalar`; x'_t = r_t / x_t where x_t != 0."""
+    """Yield every point (xs, xps), lexicographically in the x-assignment
+    (vertex order, then encoding order), with free x' slots expanded
+    innermost.  The live assignments come from `_live_scalar`."""
     fld = instance.field
-    q = fld.q
-    vs = instance.forest.vertices
-    _check_budget(len(vs), q, budget)
-    mul, inv = fld.mul_enc, fld.inv_table()
-    for xs, rs in _live_scalar(instance, 0, q ** len(vs)):
-        xps = [mul(r, inv[x]) for r, x in zip(rs, xs)]
-        free = [t for t, x in enumerate(xs) if x == 0]
-        for combo in itertools.product(range(q), repeat=len(free)):
-            for slot, val in zip(free, combo):
-                xps[slot] = val
-            yield PointRecord(vs, fld, xs, tuple(xps))
+    n, q = instance.n, fld.q
+    _check_budget(n, q, budget)
+    inv, free = fld.inv_table().__getitem__, [range(q)] * n
+    for xs, rs in _live_scalar(instance, 0, q**n):
+        yield from _points_over(fld, inv, xs, rs, free)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +306,8 @@ class FibrationReport:
 
 def _z_points(n: int, field: Field):
     """Points of Z_A(n) as tuples (alpha, x tuple, x' tuple), encodings."""
-    out = set()
-    for a in range(field.q):
-        for rec in brute_points(_a_union_member(field, n, a)):
-            out.add((a, rec.xs, rec.xps))
-    return out
+    return {(a, xs, xps) for a in range(field.q)
+            for xs, xps in brute_points(_a_union_member(field, n, a))}
 
 
 def check_z_fibration(n: int, field: Field) -> FibrationReport:

@@ -50,7 +50,7 @@ class BudgetExceeded(ClusterCountError):
 
 
 class PointNotOnVariety(ClusterCountError):
-    """A point record does not satisfy the defining equations."""
+    """A point does not satisfy the defining equations."""
 
 
 class NotNormalized(ClusterCountError):

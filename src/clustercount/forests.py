@@ -255,17 +255,17 @@ def normal_form_slots(dynkin_type: str, rank: int) -> tuple[int, ...]:
 
 
 def dynkin_tiling(dynkin_type: str, rank: int) -> DominoTiling:
-    """The canonical partial tiling avoiding exactly `normal_form_slots`."""
-    t = check_rank(dynkin_type, rank)
-    if t == "A":
-        start = 2 if rank % 2 == 1 else 1
-        return DominoTiling.make((i, i + 1) for i in range(start, rank, 2))
-    if t == "D":
-        start = 2 if rank % 2 == 1 else 3
-        return DominoTiling.make((i, i + 1) for i in range(start, rank, 2))
-    dominoes = [(1, 2), (3, 5), (4, 6)]
-    if rank == 8:
-        dominoes.append((7, 8))
+    """The canonical partial tiling avoiding exactly `normal_form_slots`: in
+    vertex order, each vertex that is neither covered nor a slot takes its
+    smallest uncovered larger neighbour."""
+    forest = dynkin(dynkin_type, rank)
+    taken = set(normal_form_slots(dynkin_type, rank))
+    dominoes = []
+    for v in forest.vertices:
+        if v not in taken:
+            u = next(u for u in forest.adjacency[v] if u > v and u not in taken)
+            dominoes.append((v, u))
+            taken.update((v, u))
     return DominoTiling.make(dominoes)
 
 

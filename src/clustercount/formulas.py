@@ -15,7 +15,6 @@ verifies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -190,7 +189,6 @@ def _normal_form_params(dynkin_type: str, rank: int,
 def formula_count(dynkin_type: str, rank: int, coeffs: CoeffMap,
                   field: Field) -> CountReport:
     """Closed-form count for a normal-form instance, with its branch label."""
-    start = time.perf_counter()
     params = _normal_form_params(dynkin_type, rank, coeffs)
     branches = branches_for(dynkin_type, rank)
     firing = [b for b in branches if b.predicate(params, field)]
@@ -199,9 +197,7 @@ def formula_count(dynkin_type: str, rank: int, coeffs: CoeffMap,
             f"branch predicates must partition: {[b.branch_id for b in firing]} "
             f"fired for params {params}")
     branch = firing[0]
-    value = branch.count(rank, field.q)
-    elapsed = (time.perf_counter() - start) * 1000
-    return CountReport(value, branch=branch.branch_id, elapsed_ms=elapsed)
+    return CountReport(branch.count(rank, field.q), branch=branch.branch_id)
 
 
 def formula_count_params(dynkin_type: str, rank: int, field: Field,

@@ -19,37 +19,25 @@ filling that dict.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import DivisionByZero, NonPrime, UnsupportedSize
 
 MAX_PRIME = 2**31
 MAX_EXTENSION_ORDER = 2**20
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _least_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division up to sqrt(n):
+    at most 46,340 divisions below MAX_PRIME, the bound of every field."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the 2^31 bound used here."""
-    if n < 2:
-        return False
-    for small in _MR_WITNESSES:
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, by trial division: exact at any n, and quick below
+    2^31, the only characteristics a `Field` takes."""
+    return n >= 2 and _least_factor(n) == n
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +95,10 @@ class Field:
                  "_plus_one_table", "_inv_table")
 
     def __init__(self, p: int, k: int = 1):
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise UnsupportedSize(f"characteristic {p} >= 2^31")
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrime(f"{p} is not prime")
-        if p >= MAX_PRIME:
-            raise UnsupportedSize(f"characteristic {p} >= 2^31")
         if not isinstance(k, int) or k < 1:
             raise UnsupportedSize(f"extension degree {k} must be >= 1")
         q = p**k
@@ -285,19 +273,16 @@ def field_make(p: int, k: int = 1) -> Field:
 
 
 def field_from_order(q: int) -> Field:
-    """Construct the field of order q, factoring q as a prime power."""
+    """Construct the field of order q, factoring q as a prime power.  An
+    order of 2^31 or more is rejected before any factoring."""
     if q < 2:
         raise UnsupportedSize(f"field order {q} < 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise NonPrime(f"{q} is not a prime power")
-            return Field(p, k)
-        if p * p > q:
-            break
-    return Field(q, 1)
+    if q >= MAX_PRIME:
+        raise UnsupportedSize(f"field order {q} >= 2^31")
+    p, k, m = _least_factor(q), 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise NonPrime(f"{q} is not a prime power")
+    return Field(p, k)

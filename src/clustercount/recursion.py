@@ -50,8 +50,6 @@ the peak RSS from 31 MB to 63 MB.
 
 from __future__ import annotations
 
-import time
-
 from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
 from .errors import ZeroCoefficient
@@ -137,16 +135,13 @@ def recursive_count(instance: VarietyInstance,
     normalized labelled trees it built a key for.
     """
     _require_invertible(instance)
-    start = time.perf_counter()
     memo = {} if memo is None else memo
     before = len(memo)
     keys = {}
     total = _count_forest(instance.forest, instance.coeffs.values,
                           instance.field, memo, keys)
-    elapsed = (time.perf_counter() - start) * 1000
-    return CountReport(total, elapsed_ms=elapsed,
-                       stats={"nodes": len(memo) - before,
-                              "canonical_forms": len(keys)})
+    return CountReport(total, stats={"nodes": len(memo) - before,
+                                     "canonical_forms": len(keys)})
 
 
 def leaf_split_counts(instance: VarietyInstance, leaf: int,

@@ -33,38 +33,41 @@ the points with Z_0 empty, which the formula shows are smooth; that
 prefilter is what `prefilter=False` disables for cross-checking.
 `matching_singular_points` never builds a Jacobian: it lists the
 independent sets that fail Hall's condition and, for each, the points
-whose Z_0 is exactly that set.  Both run on integer encodings end to end.
+whose Z_0 is exactly that set.  Both run on integer encodings end to end,
+and both return points as pairs (xs, xps) of encoding tuples in vertex
+order, sorted.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .counting import (PointRecord, VarietyInstance, _check_budget,
-                       brute_points, vertex_rule)
+from .counting import (VarietyInstance, _check_budget, _points_over,
+                       brute_count, brute_points, vertex_rule)
 from .errors import PointNotOnVariety
 from .gf import Field
 
 
-def verify_point(instance: VarietyInstance, record: PointRecord) -> bool:
-    if (record.vertices != instance.forest.vertices
-            or record.field != instance.field):
+def verify_point(instance: VarietyInstance, point) -> bool:
+    """Whether the pair (xs, xps) holds one encoding per vertex in each
+    tuple and satisfies every defining equation."""
+    xs, xps = point
+    if not len(xs) == len(xps) == instance.n:
         return False
     fld = instance.field
-    rs = vertex_rule(fld, *instance.scan_arrays, record.xs)
+    rs = vertex_rule(fld, *instance.scan_arrays, xs)
     return rs is not None and all(
-        fld.mul_enc(x, xp) == r for x, xp, r in zip(record.xs, record.xps, rs))
+        fld.mul_enc(x, xp) == r for x, xp, r in zip(xs, xps, rs))
 
 
-def jacobian_at(instance: VarietyInstance, record: PointRecord) -> list[list[int]]:
-    """n x 2n Jacobian (encodings), rows = vertex equations, columns = all
-    x variables then all x' variables, both in vertex order."""
-    if not verify_point(instance, record):
-        raise PointNotOnVariety("record violates a defining equation")
+def jacobian_at(instance: VarietyInstance, point) -> list[list[int]]:
+    """n x 2n Jacobian (encodings) at the point (xs, xps), rows = vertex
+    equations, columns = all x variables then all x' variables, both in
+    vertex order."""
+    if not verify_point(instance, point):
+        raise PointNotOnVariety("point violates a defining equation")
     fld = instance.field
     mul = fld.mul_enc
     alpha, nbrs = instance.scan_arrays
-    xs, xps = record.xs, record.xps
+    xs, xps = point
     n = len(xs)
     rows = []
     for t in range(n):
@@ -107,24 +110,27 @@ def rank(matrix: list[list[int]], field: Field) -> int:
     return r
 
 
-def _could_be_singular(record: PointRecord) -> bool:
-    xs = record.xs
-    return 0 in xs and any(x == 0 and xp == 0
-                           for x, xp in zip(xs, record.xps))
+def _could_be_singular(point) -> bool:
+    xs, xps = point
+    return 0 in xs and any(x == 0 and xp == 0 for x, xp in zip(xs, xps))
 
 
 def singular_points(instance: VarietyInstance, *, budget: int | None = None,
-                    prefilter: bool = True) -> list[PointRecord]:
+                    prefilter: bool = True) -> list:
     """All points where the Jacobian rank drops below the equation count,
-    sorted by coordinates."""
-    n = instance.n
+    sorted.  Besides the n * q^n scan, the budget is charged n^3 per point
+    listed, the cost of ranking an n x 2n Jacobian, with the number of
+    points taken from `brute_count` first."""
+    n, q = instance.n, instance.field.q
+    listed = brute_count(instance, budget=budget).count
+    _check_budget(n, q, budget, n**3 * listed)
     out = []
-    for rec in brute_points(instance, budget=budget):
-        if prefilter and not _could_be_singular(rec):
+    for point in brute_points(instance, budget=budget):
+        if prefilter and not _could_be_singular(point):
             continue
-        if rank(jacobian_at(instance, rec), instance.field) < n:
-            out.append(rec)
-    return sorted(out, key=lambda r: r.key())
+        if rank(jacobian_at(instance, point), instance.field) < n:
+            out.append(point)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +154,11 @@ def _matching_number(group, nbrs: list[list[int]]) -> int:
     return sum(augment(t, set()) for t in group)
 
 
-def matching_rank(instance: VarietyInstance, record: PointRecord) -> int:
-    """The Jacobian's rank at `record` by the formula n - |Z_0| + nu(Z_0)."""
-    if not verify_point(instance, record):
-        raise PointNotOnVariety("record violates a defining equation")
-    z0 = [t for t, (x, xp) in enumerate(zip(record.xs, record.xps))
-          if x == 0 and xp == 0]
+def matching_rank(instance: VarietyInstance, point) -> int:
+    """The Jacobian's rank at `point` by the formula n - |Z_0| + nu(Z_0)."""
+    if not verify_point(instance, point):
+        raise PointNotOnVariety("point violates a defining equation")
+    z0 = [t for t, (x, xp) in enumerate(zip(*point)) if x == 0 and xp == 0]
     return instance.n - len(z0) + _matching_number(z0, instance.scan_arrays[1])
 
 
@@ -220,7 +225,7 @@ def _vanishing_assignments(fld: Field, alpha: list[int],
 
 
 def matching_singular_points(instance: VarietyInstance, *,
-                             budget: int | None = None) -> list[PointRecord]:
+                             budget: int | None = None) -> list:
     """The points where the Jacobian rank drops below the equation count,
     found by the matching criterion without a Jacobian: for each
     independent set S that fails Hall's condition, the points whose Z_0 is
@@ -230,22 +235,16 @@ def matching_singular_points(instance: VarietyInstance, *,
     once.  Same budget precondition and output, sorted by coordinates, as
     `singular_points`."""
     fld = instance.field
-    q = fld.q
-    vs = instance.forest.vertices
-    _check_budget(len(vs), q, budget)
+    n, q = instance.n, fld.q
+    _check_budget(n, q, budget)
     alpha, nbrs = instance.scan_arrays
-    mul, inv = fld.mul_enc, fld.inv_enc
     out = []
     for zero in _hall_violators(alpha, nbrs):
-        members = set(zero)
+        zero_values = [range(1, q)] * n
+        for t in zero:
+            zero_values[t] = (0,)
         for xs in _vanishing_assignments(fld, alpha, nbrs, zero):
             rs = vertex_rule(fld, alpha, nbrs, xs)
-            if rs is None:
-                continue
-            xps = [mul(r, inv(x)) if x else 0 for r, x in zip(rs, xs)]
-            free = [t for t, x in enumerate(xs) if x == 0 and t not in members]
-            for combo in itertools.product(range(1, q), repeat=len(free)):
-                for slot, val in zip(free, combo):
-                    xps[slot] = val
-                out.append(PointRecord(vs, fld, tuple(xs), tuple(xps)))
-    return sorted(out, key=lambda r: r.key())
+            if rs is not None:
+                out.extend(_points_over(fld, fld.inv_enc, xs, rs, zero_values))
+    return sorted(out)

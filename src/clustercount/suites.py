@@ -234,16 +234,16 @@ def suite_smoothness() -> SuiteResult:
             for q in (2, 3, 5, 7):
                 field = field_make(q)
                 for a in range(1, q):
-                    pts = matching_singular_points(
-                        _a_union_member(field, n, a))
+                    inst = _a_union_member(field, n, a)
+                    pts = matching_singular_points(inst)
                     expect = int(n % 2 == 1 and _branch(
                         "A", n, "A-odd-special").predicate((a,), field))
                     yield (f"A{n} q={q} alpha={a}: {len(pts)} singular, "
                            f"expected {expect}", len(pts) == expect)
-                    for p in pts:
+                    for xs, xps in pts:
                         odd_zero = all(
                             x == 0 and xp == 0
-                            for v, x, xp in zip(p.vertices, p.xs, p.xps)
+                            for v, x, xp in zip(inst.forest.vertices, xs, xps)
                             if v % 2 == 1)
                         yield (f"A{n} q={q} alpha={a}: odd coordinates "
                                "nonzero at singular point", odd_zero)

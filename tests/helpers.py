@@ -85,12 +85,12 @@ def reference_recursion(instance: VarietyInstance, memo: dict) -> int:
     return count_forest(instance.forest, dict(instance.coeffs.values))
 
 
-def record_satisfies(instance: VarietyInstance, record) -> bool:
-    """Re-verify one point record against the equations, one vertex at a
+def record_satisfies(instance: VarietyInstance, point) -> bool:
+    """Re-verify one point (xs, xps) against the equations, one vertex at a
     time with `mul_enc`/`add_enc`, without the library's `vertex_rule`."""
     fld = instance.field
-    x = dict(zip(record.vertices, record.xs))
-    xp = dict(zip(record.vertices, record.xps))
+    x = dict(zip(instance.forest.vertices, point[0]))
+    xp = dict(zip(instance.forest.vertices, point[1]))
     for t in instance.forest.vertices:
         rhs = instance.coeffs.enc(t)
         for s in instance.forest.adjacency[t]:

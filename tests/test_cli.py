@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,14 +332,82 @@ def test_parser_built_once(capsys):
     assert build_parser() is parser
 
 
-def test_module_invocation_smoke():
-    # the subprocess imports the package from where this process did
+def run_module(*argv, timeout=120):
+    """`python -m clustercount` in a subprocess that imports the package
+    from where this process did."""
     src = str(Path(clustercount.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clustercount", "count", "--type", "A",
-         "--rank", "1", "--q", "5", "--method", "all"],
-        capture_output=True, text=True, timeout=120,
-        env=os.environ | {"PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "clustercount", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=os.environ | {"PYTHONPATH": path})
+
+
+def test_module_invocation_smoke():
+    proc = run_module("count", "--type", "A", "--rank", "1", "--q", "5",
+                      "--method", "all")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "4"
+
+
+@pytest.mark.parametrize("q", [str(10**18 + 9), str(2**31 + 11)])
+def test_order_above_bound_exits_at_once(q):
+    # rejected before q is factored, so a large prime does not hang
+    proc = run_module("count", "--type", "A", "--rank", "1", "--q", q,
+                      timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: field order {q} >= 2^31\n"
+
+
+def test_singular_charges_listed_points_against_budget(tmp_path):
+    # 5,776,800 points at q = 7: the scan alone (8 * 7^8 steps) is inside
+    # the default budget, ranking a Jacobian at every point is not
+    tree = tmp_path / "tree.txt"
+    tree.write_text("1 2\n2 3\n2 4\n4 5\n8 9\n7\n")
+    proc = run_module("singular", "--tree-file", str(tree), "--q", "7",
+                      timeout=5)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "3003840008" in proc.stderr  # 8 * 7^8 + 8^3 * 5776800
+
+
+# Each command's stdout, with every elapsed_ms value written as 0, as a
+# sha256 prefix, and its exit code: a refactor must leave both unchanged.
+GOLDEN = [
+    ("count --type A --rank 2 --q 3 --method brute", 0, "48beb2ab98b5db49"),
+    ("count --type A --rank 2 --q 3 --method recursion", 0, "304494eb27876930"),
+    ("count --type E --rank 8 --q 2 --method formula", 0, "3afcf03861140a3f"),
+    ("count --type A --rank 3 --q 5 --alpha -1 --method all", 0,
+     "b09b93aeb6ac9f70"),
+    ("count --type D --rank 4 --q 4 --alpha 2,3 --method all --stats", 0,
+     "cf643e6ad389d52c"),
+    ("count --type E --rank 7 --q 7 --alpha 3 --method all", 0,
+     "3687a19be9b66d80"),
+    ("count --type E --rank 8 --q 13 --method recursion --stats", 0,
+     "4e7465b854996ef0"),
+    ("count --type D --rank 5 --q 9 --method brute --stats", 0,
+     "96ee864a73a5a122"),
+    ("count --type A --rank 4 --q 5 --method formula --stats", 0,
+     "97f432ad8dce221b"),
+    ("normalize --type A --rank 5 --alpha 2,3,4,5,6 --q 7", 0,
+     "1d0418b6cc384eac"),
+    ("normalize --type D --rank 7 --alpha 2,3,4,2,3,4,2 --q 5", 0,
+     "bc6ca1c926631ac9"),
+    ("normalize --type E --rank 8 --alpha 2,3,4,5,6,7,8,9 --q 11", 0,
+     "28c5b7b07bd47642"),
+    ("singular --type A --rank 3 --alpha 1 --q 7", 0, "a0434231a289c3a3"),
+    ("singular --type A --rank 5 --alpha -1 --q 5", 0, "eb4e2a8715291911"),
+    ("singular --type D --rank 4 --q 4", 0, "e7ae16632e1824fb"),
+    ("interpolate --type D --rank 4 --branch generic --degree 4 --ascending",
+     0, "f7549b00e03085f4"),
+    ("check --suite cohomology", 0, "71855a881b47d867"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_golden_output(capsys, command, code, digest):
+    got, out, _ = run_cli(capsys, *command.split())
+    masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out)
+    assert got == code
+    assert hashlib.sha256(masked.encode()).hexdigest()[:16] == digest

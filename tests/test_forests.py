@@ -151,6 +151,24 @@ class TestLeafyTiling:
                 uncovered = set(f.vertices) - set(t.covered)
                 assert uncovered == set(normal_form_slots(typ, rank))
 
+    def test_dynkin_tiling_dominoes(self):
+        # consecutive pairs along the path after the slots: from vertex 2
+        # for odd rank, else from 1 (A) or 3 (D); E pairs each arm's first
+        # two vertices, and E8 also the last two
+        def path_from(start, rank):
+            return tuple((i, i + 1) for i in range(start, rank, 2))
+
+        for rank in range(0, 41):
+            assert dynkin_tiling("A", rank).dominoes == path_from(
+                2 if rank % 2 else 1, rank)
+        for rank in range(3, 41):
+            assert dynkin_tiling("D", rank).dominoes == path_from(
+                2 if rank % 2 else 3, rank)
+        e6 = ((1, 2), (3, 5), (4, 6))
+        assert dynkin_tiling("E", 6).dominoes == e6
+        assert dynkin_tiling("E", 7).dominoes == e6
+        assert dynkin_tiling("E", 8).dominoes == e6 + ((7, 8),)
+
     def test_each_domino_is_an_untaken_vertex_and_its_largest_child(self):
         # in each component hung from its largest vertex
         rng = random.Random(23)

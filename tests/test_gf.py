@@ -9,6 +9,7 @@ from clustercount.coeffs import parse_coeff_text
 from clustercount.errors import (DivisionByZero, NonPrime, UnsupportedSize,
                                  ZeroCoefficient)
 from clustercount.forests import Forest
+from clustercount.gf import is_prime
 
 
 def test_prime_field_construction():
@@ -49,6 +50,41 @@ def test_field_from_order():
     assert field_from_order(9).modulus == (1, 0, 1)
     assert field_from_order(7).k == 1
     assert field_from_order(8).q == 8
+
+
+def _sieve(limit: int) -> list[bool]:
+    """Eratosthenes: entry n says whether n is prime, for n < limit."""
+    prime = [False, False] + [True] * (limit - 2)
+    for n in range(2, limit):
+        if prime[n]:
+            prime[n * n::n] = [False] * len(prime[n * n::n])
+    return prime
+
+
+def test_is_prime_matches_sieve():
+    assert [is_prime(n) for n in range(-3, 10**5)] == [False] * 3 + _sieve(10**5)
+    # the largest prime below the bound of every field, and its neighbours
+    assert is_prime(2**31 - 1)
+    assert not is_prime(2**31 - 2) and not is_prime(2**31)
+
+
+def test_field_from_order_every_small_order():
+    prime = _sieve(2**12)
+    powers = {p**k: (p, k) for p in range(2**12) if prime[p]
+              for k in range(1, 12) if p**k < 2**12}
+    for q in range(-2, 2**12):
+        if q in powers:
+            f = field_from_order(q)
+            assert (f.p, f.k, f.q) == (*powers[q], q)
+        else:
+            with pytest.raises(UnsupportedSize if q < 2 else NonPrime):
+                field_from_order(q)
+
+
+@pytest.mark.parametrize("q", [2**31, 2**31 + 11, 6 * 10**9, 10**18 + 9])
+def test_order_at_or_above_bound_rejected_before_factoring(q):
+    with pytest.raises(UnsupportedSize, match=f"^field order {q} >= 2\\^31$"):
+        field_from_order(q)
 
 
 def test_inverse_examples():

@@ -125,7 +125,7 @@ def test_split_terms_match_brute_loci():
         zero_part, nonzero_part = leaf_split_counts(inst, leaf)
         pts = list(brute_points(inst))
         pos = f.vertices.index(leaf)
-        zero_brute = sum(1 for p in pts if p.xs[pos] == 0)
+        zero_brute = sum(1 for xs, _ in pts if xs[pos] == 0)
         assert zero_part == zero_brute
         assert nonzero_part == len(pts) - zero_brute
 

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from clustercount import (CoeffMap, Forest, VarietyInstance, brute_points,
-                          dynkin, field_from_order, field_make,
+from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
+                          brute_points, dynkin, field_from_order, field_make,
                           normal_form_instance)
-from clustercount.counting import PointRecord
 from clustercount.errors import BudgetExceeded, PointNotOnVariety
 from clustercount.singular import (_hall_violators, jacobian_at,
                                    matching_rank, matching_singular_points,
@@ -36,24 +35,16 @@ def _random_forest(rng, n):
                        [e for e in tree.edges if rng.random() < 0.75])
 
 
-def _record(field, xs, xps):
-    vs = tuple(sorted(xs))
-    return PointRecord(vs, field, tuple(xs[v] for v in vs),
-                       tuple(xps[v] for v in vs))
-
-
 class TestJacobian:
     def test_a1_origin_zero_matrix(self):
         F5 = field_make(5)
         inst = normal_form_instance(F5, "A", 1, (-1,))
-        rec = _record(F5, {1: 0}, {1: 0})
-        assert jacobian_at(inst, rec) == [[0, 0]]
+        assert jacobian_at(inst, ((0,), (0,))) == [[0, 0]]
 
     def test_a1_generic_point(self):
         F3 = field_make(3)
         inst = normal_form_instance(F3, "A", 1, (1,))
-        rec = _record(F3, {1: 1}, {1: 2})
-        J = jacobian_at(inst, rec)
+        J = jacobian_at(inst, ((1,), (2,)))
         assert J == [[2, 1]]
         assert rank(J, F3) == 1
 
@@ -61,19 +52,18 @@ class TestJacobian:
         # row of vertex 1 in A_n: (x'_1, -alpha, 0, ..., x_1, 0, ...)
         F7 = field_make(7)
         inst = normal_form_instance(F7, "A", 3, (3,))
-        rec = next(iter(brute_points(inst)))
-        J = jacobian_at(inst, rec)
-        assert J[0][0] == rec.xps[0]
+        xs, xps = next(iter(brute_points(inst)))
+        J = jacobian_at(inst, (xs, xps))
+        assert J[0][0] == xps[0]
         assert J[0][1] == (-3) % 7
         assert J[0][2] == 0
-        assert J[0][3] == rec.xs[0]
+        assert J[0][3] == xs[0]
         assert J[0][4] == J[0][5] == 0
 
     def test_full_rank_at_all_nonzero_point(self):
         F3 = field_make(3)
         inst = normal_form_instance(F3, "A", 2)
-        recs = [r for r in brute_points(inst)
-                if 0 not in r.xs]
+        recs = [r for r in brute_points(inst) if 0 not in r[0]]
         assert recs
         for r in recs:
             assert rank(jacobian_at(inst, r), F3) == 2
@@ -82,16 +72,13 @@ class TestJacobian:
         F3 = field_make(3)
         inst = normal_form_instance(F3, "A", 1, (1,))
         with pytest.raises(PointNotOnVariety):
-            jacobian_at(inst, _record(F3, {1: 0}, {1: 0}))
-        with pytest.raises(PointNotOnVariety):  # a point of another forest
-            jacobian_at(inst, _record(F3, {2: 1}, {2: 2}))
-        # a point of A1 over F_5 whose encodings also solve the F_7 equation
-        F5, F7 = field_make(5), field_make(7)
-        inst7 = normal_form_instance(F7, "A", 1, (1,))
-        assert verify_point(inst7, _record(F7, {1: 1}, {1: 2}))
-        assert not verify_point(inst7, _record(F5, {1: 1}, {1: 2}))
-        with pytest.raises(PointNotOnVariety):
-            jacobian_at(inst7, _record(F5, {1: 1}, {1: 2}))
+            jacobian_at(inst, ((0,), (0,)))
+        # a pair whose tuples do not hold one encoding per vertex
+        assert verify_point(inst, ((1,), (2,)))
+        for xs, xps in (((1, 1), (2, 2)), ((1,), (2, 0)), ((), ())):
+            assert not verify_point(inst, (xs, xps))
+            with pytest.raises(PointNotOnVariety):
+                jacobian_at(inst, (xs, xps))
 
 
 class TestRank:
@@ -156,16 +143,11 @@ class TestSingularPoints:
     def test_a1_special_unique_origin(self):
         inst = normal_form_instance(field_make(5), "A", 1, (-1,))
         pts = singular_points(inst)
-        assert [p.key() for p in pts] == [((0,), (0,))]
+        assert pts == [((0,), (0,))]
 
     def test_a3_special_unique_point(self):
         inst = normal_form_instance(field_make(5), "A", 3, (1,))
-        pts = singular_points(inst)
-        assert len(pts) == 1
-        p = pts[0]
-        assert p.vertices == (1, 2, 3)
-        assert p.xs == (0, 4, 0)
-        assert p.xps == (0, 4, 0)
+        assert singular_points(inst) == [((0, 4, 0), (0, 4, 0))]
 
     def test_a4_smooth(self):
         F3 = field_make(3)
@@ -181,11 +163,21 @@ class TestSingularPoints:
             n = rng.randint(1, 3)
             F = field_from_order(rng.choice((2, 3, 4, 5, 8, 9)))
             inst = _biased_instance(rng, F, random_tree(rng, n))
-            fast = [p.key() for p in singular_points(inst)]
-            slow = [p.key() for p in singular_points(inst, prefilter=False)]
+            fast = singular_points(inst)
+            slow = singular_points(inst, prefilter=False)
             assert fast == slow
             found += len(fast)
         assert found >= 10
+
+    def test_budget_charges_each_listed_point(self):
+        # n * q^n for the scan plus n^3 per point for its Jacobian's rank
+        inst = normal_form_instance(field_make(5), "A", 3, (1,))
+        est = 3 * 5**3 + 3**3 * brute_count(inst).count
+        assert len(singular_points(inst, budget=est)) == 1
+        with pytest.raises(BudgetExceeded):
+            singular_points(inst, budget=est - 1)
+        # the criterion ranks no Jacobian and keeps the scan's precondition
+        assert len(matching_singular_points(inst, budget=3 * 5**3)) == 1
 
     def test_returned_points_satisfy_equations_and_minors(self):
         inst = normal_form_instance(field_make(3), "A", 3, (1,))
@@ -217,7 +209,7 @@ class TestMatchingCriterion:
         F3 = field_make(3)
         inst = normal_form_instance(F3, "A", 1, (1,))
         with pytest.raises(PointNotOnVariety):
-            matching_rank(inst, _record(F3, {1: 0}, {1: 0}))
+            matching_rank(inst, ((0,), (0,)))
 
     def test_hall_violators(self):
         # A3: only the two ends, which share their one neighbour
@@ -245,8 +237,8 @@ class TestMatchingCriterion:
                 for a in range(1, q):
                     values = {v: 1 for v in f.vertices} | {1: a}
                     inst = VarietyInstance(f, CoeffMap.make(F, values), F)
-                    fast = [p.key() for p in matching_singular_points(inst)]
-                    assert fast == [p.key() for p in singular_points(inst)]
+                    fast = matching_singular_points(inst)
+                    assert fast == singular_points(inst)
                     found += len(fast)
         assert found == 14  # one at each special A1 and A3
 
@@ -258,15 +250,15 @@ class TestMatchingCriterion:
             n = rng.randint(1, 5 if F.q <= 3 else 4 if F.q <= 5 else 3)
             inst = _biased_instance(rng, F, _random_forest(rng, n),
                                     allow_zero=rng.random() < 0.3)
-            fast = [p.key() for p in matching_singular_points(inst)]
-            assert fast == [p.key() for p in singular_points(inst)]
+            fast = matching_singular_points(inst)
+            assert fast == singular_points(inst)
             found += len(fast)
         assert found > 500
 
     def test_listed_points_are_singular(self):
         inst = normal_form_instance(field_make(7), "A", 5, (-1,))
         pts = matching_singular_points(inst)
-        assert [p.key() for p in pts] == [((0, 1, 0, 6, 0), (0, 1, 0, 6, 0))]
+        assert pts == [((0, 1, 0, 6, 0), (0, 1, 0, 6, 0))]
         assert all(rank(jacobian_at(inst, p), inst.field) < 5 for p in pts)
 
     def test_empty_forest_and_budget(self):
