@@ -117,6 +117,29 @@ class Forest:
         return flip_plan(self, leafy_tiling(self))
 
     @cached_property
+    def uncovered(self) -> tuple[int, ...]:
+        """The vertices that no flip of `leafy_flips` sets to 1."""
+        return tuple(sorted(set(self.vertices)
+                            - {s for s, _, _ in self.leafy_flips}))
+
+    @cached_property
+    def _exponents(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def flip_exponents(self, g: int) -> tuple[int, ...]:
+        """For each of `uncovered`, the power of the coefficient at g in its
+        value after `leafy_flips` (a Laurent monomial in the coefficients,
+        as flips only divide), cached per g."""
+        if g not in self._exponents:
+            power = dict.fromkeys(self.vertices, 0) | {g: 1}
+            for s, _, others in self.leafy_flips:
+                for u in others:
+                    power[u] -= power[s]
+                power[s] = 0
+            self._exponents[g] = tuple(map(power.get, self.uncovered))
+        return self._exponents[g]
+
+    @cached_property
     def _canonical_plan(self):
         """Per component: its one or two centres, and every vertex with its
         children, listed children first, in the tree hung from the centres

@@ -6,49 +6,38 @@ at f vanishes:
     N_T(alpha) = q * N_T''(alpha'') + sum over invertible beta of
                  N_T'(alpha'(beta))
 
-with the coefficient transforms from `coeffs.leaf_removal_transforms`.  The
-base cases are the empty forest (one point) and a single vertex, where
-x x' = 1 + alpha has q - 1 points, or 2q - 1 when alpha = -1.
+with the coefficient transforms from `coeffs.leaf_removal_transforms`; as
+a_g is invertible, the beta child writes beta itself at g.  The base cases
+are a single vertex, where x x' = 1 + alpha has q - 1 points, or 2q - 1
+when alpha = -1, and the empty forest (one point).
 
-The beta sum has q - 1 branches.  Each child is normalized and the memo
-table is keyed on its canonical form, so children that normalize alike
-share one entry; but the distinct classes still number about one per beta,
-so the memo grows linearly in q (with every normal-form parameter 2: q + 1
-entries for A4, q + 2 for D5, 3q + 1 for E8) and the time about as q^2.
+A tree's memo key is the canonical form of its labels after `normalize` on
+its leafy tiling, so children that normalize alike share one entry.  Each
+count keeps a key cache from the exact labels, per tree edges, to the key:
+a key costs one replay of `Forest.leafy_flips` and one lookup, and
+`canonical_form` runs once per distinct normalized tree.
 
-The recursion carries a forest, its coefficient encodings as a plain
-{vertex: encoding} dict, and the field.  The beta children's coefficients
-at g are a_g * beta; as beta runs over F_q^*, so does a_g * beta (a_g is
-invertible, since every coefficient is), so the sum writes beta itself
-at g.  A beta child then costs one copy of the dict on T - f and one memo
-key.
+The flips only divide, so every label is a Laurent monomial in the input
+coefficients: 1 on covered vertices, and on T' = T - f the beta child's
+label at an uncovered v is base_v * beta^e_v, with base the labels at
+beta = 1 and e_v the power of the coefficient at g
+(`Forest.flip_exponents`).  So the q - 1 children cost one replay: when
+every e_v is 0 they share one key and the sum is (q - 1) * N(beta = 1);
+otherwise the keys are built column by column from `Field.inv_table`.  Only
+a T' of one vertex or several trees (`leaf_split_counts` on a forest) takes
+a child at a time.  The memo still grows about as 3q on E8, but a memo miss
+is now the main cost: E8 with all ones takes 0.05 s at q = 1009, 0.5 s at
+q = 10007 and 6 s at q = 100003, against 13 s at q = 1009 replaying every
+child (2 CPUs, Python 3.11).
 
-What the recursion needs of a forest is cached on the forest object: its
-components and their subforests, the flips of `normalize` on its leafy
-tiling (`Forest.leafy_flips`), the centre rooting of `canonical_form`, and
-its subforests without given vertices (`Forest.remove` returns one object
-per dropped set).  So the q - 1 beta children of a node share T - f, and
-every node reached again with other coefficients shares its subforests
-and their caches with the first visit.
-
-A memo key is the canonical form of `normalize`'s result, so the memo
-classes are those of normalizing each child afresh.  Building that string
-is most of a key's cost, and the same normalized trees recur many times:
-E8 at q = 101 asks for about 30,500 keys of 305 normalized trees.  So
-each `recursive_count` call keeps a key cache from the exact normalized
-tree, (its edges, its normalized labels in vertex order), to its key; the
-edges fix a tree of at least 2 vertices, the only ones keyed.  A key then
-costs one replay of the flips on the encodings (`coeffs.apply_flips`) and
-one dict lookup; `canonical_form` runs only on a miss.  The cache holds
-about one entry per memo entry the call makes (305 against a memo of 304
-for E8 at q = 101), so it grows linearly in q like the memo, and it dies
-with the call.  It is not keyed on the coefficients before the flips:
-those take about q^2 distinct values per tree shape instead of q, and on
-E8 at q = 307 such a cache held 95,168 entries against 923 and raised
-the peak RSS from 31 MB to 63 MB.
+Forests are shared: `Forest.remove` returns one object per dropped set, so
+what a forest caches (components, flips, exponents, canonical plan) is
+computed once per shape.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
@@ -70,27 +59,28 @@ def _pick_leaf(forest: Forest) -> int:
                key=lambda f: forest.degree(forest.adjacency[f][0]))
 
 
-def _count_tree(forest: Forest, values: dict[int, int], field: Field,
-                memo: dict, keys: dict) -> int:
-    q = field.q
-    n = forest.n_vertices
-    if n == 0:
-        return 1
-    if n == 1:
-        minus_one = field.neg_enc(1)
-        return 2 * q - 1 if values[forest.vertices[0]] == minus_one else q - 1
-    labels = apply_flips(field, values, forest.leafy_flips)
-    exact = forest.edges, tuple(map(labels.__getitem__, forest.vertices))
-    key = keys.get(exact)
+def _count_keyed(forest: Forest, values: dict[int, int], labels: tuple,
+                 field: Field, memo: dict, keys: dict) -> int:
+    """The count of the tree `forest` at `values`, whose normalized labels
+    are `labels` on `forest.uncovered` and 1 elsewhere."""
+    known = keys[forest.edges]
+    key = known.get(labels)
     if key is None:
-        key = keys[exact] = _memo_key(forest, labels, q)
+        full = dict.fromkeys(forest.vertices, 1)
+        full.update(zip(forest.uncovered, labels))
+        key = known[labels] = _memo_key(forest, full, field.q)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    total = sum(_split_counts(forest, values, _pick_leaf(forest), field,
-                              memo, keys))
-    memo[key] = total
-    return total
+    if hit is None:
+        hit = memo[key] = sum(_split_counts(forest, values, _pick_leaf(forest),
+                                            field, memo, keys))
+    return hit
+
+
+def _column(field: Field, b: int, e: int) -> list[int]:
+    """b * beta^e for beta = 1, ..., q - 1."""
+    betas = (range(1, field.q) if e == 1 else field.inv_table()[1:] if e == -1
+             else [field.pow_enc(x, e) for x in range(1, field.q)])
+    return [field.mul_enc(b, x) for x in betas]
 
 
 def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
@@ -99,23 +89,45 @@ def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
     `leaf_split_counts`."""
     g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
         forest, CoeffMap(field, values), leaf)
-    zero_part = field.q * _count_forest(t_double, double, field, memo, keys)
+    q = field.q
+    zero_part = q * _count_forest(t_double, double, field, memo, keys)
+    if t_primed.n_vertices < 2 or len(t_primed.components) > 1:
+        nonzero_part = 0
+        for beta in range(1, q):
+            child = dict(primed)
+            child[g] = beta
+            nonzero_part += _count_forest(t_primed, child, field, memo, keys)
+        return zero_part, nonzero_part
+    primed[g] = 1  # `primed` is each beta child in turn; nothing keeps it
+    labels = apply_flips(field, primed, t_primed.leafy_flips)
+    base = [labels[v] for v in t_primed.uncovered]
+    exps = t_primed.flip_exponents(g)
+    if not any(exps):
+        return zero_part, (q - 1) * _count_keyed(t_primed, primed, tuple(base),
+                                                 field, memo, keys)
     nonzero_part = 0
-    for beta in range(1, field.q):
-        child = dict(primed)
-        child[g] = beta
-        nonzero_part += _count_forest(t_primed, child, field, memo, keys)
+    columns = [_column(field, b, e) for b, e in zip(base, exps)]
+    for beta, labels in enumerate(zip(*columns), 1):
+        primed[g] = beta
+        nonzero_part += _count_keyed(t_primed, primed, labels, field, memo,
+                                     keys)
     return zero_part, nonzero_part
 
 
 def _count_forest(forest: Forest, values: dict[int, int], field: Field,
                   memo: dict, keys: dict) -> int:
-    if len(forest.components) == 1:
-        return _count_tree(forest, values, field, memo, keys)
-    total = 1
-    for tree in forest.component_forests:
-        total *= _count_tree(tree, {v: values[v] for v in tree.vertices},
-                             field, memo, keys)
+    """The product of the counts of the trees of `forest` at `values`."""
+    total, q = 1, field.q
+    one_tree = len(forest.components) == 1
+    for tree in (forest,) if one_tree else forest.component_forests:
+        if tree.n_vertices == 1:
+            minus_one = values[tree.vertices[0]] == field.neg_enc(1)
+            total *= 2 * q - 1 if minus_one else q - 1
+            continue
+        labels = apply_flips(field, values, tree.leafy_flips)
+        total *= _count_keyed(tree, values,
+                              tuple(map(labels.__getitem__, tree.uncovered)),
+                              field, memo, keys)
     return total
 
 
@@ -137,11 +149,12 @@ def recursive_count(instance: VarietyInstance,
     _require_invertible(instance)
     memo = {} if memo is None else memo
     before = len(memo)
-    keys = {}
+    keys = defaultdict(dict)
     total = _count_forest(instance.forest, instance.coeffs.values,
                           instance.field, memo, keys)
-    return CountReport(total, stats={"nodes": len(memo) - before,
-                                     "canonical_forms": len(keys)})
+    return CountReport(total, stats={
+        "nodes": len(memo) - before,
+        "canonical_forms": sum(map(len, keys.values()))})
 
 
 def leaf_split_counts(instance: VarietyInstance, leaf: int,
@@ -152,4 +165,4 @@ def leaf_split_counts(instance: VarietyInstance, leaf: int,
     _require_invertible(instance)
     memo = {} if memo is None else memo
     return _split_counts(instance.forest, instance.coeffs.values, leaf,
-                         instance.field, memo, {})
+                         instance.field, memo, defaultdict(dict))

@@ -9,9 +9,9 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           normal_form_instance, normalize)
 from clustercount.coeffs import apply_flips
 from clustercount.errors import ZeroCoefficient
-from clustercount.forests import normal_form_slots
+from clustercount.forests import dynkin_tiling, normal_form_slots
 from clustercount.formulas import formula_count
-from clustercount.recursion import (_memo_key, leaf_split_counts,
+from clustercount.recursion import (_column, _memo_key, leaf_split_counts,
                                     recursive_count)
 
 from helpers import random_coeffs, random_tree, reference_recursion, spider
@@ -230,3 +230,127 @@ def test_stats_key_cache_linear_in_q(q):
                                 memo).stats
         assert again == {"nodes": 0, "canonical_forms": 1}
         assert len(memo) == memo_size
+
+
+def test_beta_children_labels_are_monomials_in_beta():
+    # the sweep's invariant: on T - f the beta child's normalized labels are
+    # base * beta^e on the uncovered vertices and 1 on the covered ones
+    rng = random.Random(79)
+    for i in range(140):
+        q = (2, 3, 4, 5, 7, 8, 9)[i % 7]
+        F = field_from_order(q)
+        tree = random_tree(rng, rng.randint(2, 8 if q < 7 else 6))
+        cm = random_coeffs(rng, F, tree)
+        for f in tree.leaves():
+            g = tree.adjacency[f][0]
+            rest = tree.remove([f])
+            covered = leafy_tiling(rest).covered
+            assert set(rest.uncovered) == set(rest.vertices) - set(covered)
+            primed = {v: cm.values[v] for v in rest.vertices}
+            base = apply_flips(F, primed | {g: 1}, rest.leafy_flips)
+            exps = rest.flip_exponents(g)
+            for beta in range(1, q):
+                labels = apply_flips(F, primed | {g: beta}, rest.leafy_flips)
+                for v, e in zip(rest.uncovered, exps):
+                    assert labels[v] == F.mul_enc(base[v], F.pow_enc(beta, e))
+                assert all(labels[v] == 1 for v in covered)
+        inst = VarietyInstance(tree, cm, F)
+        count = recursive_count(inst).count
+        assert count == reference_recursion(inst, {})
+        assert count == brute_count(inst).count
+
+
+def test_column_takes_any_exponent():
+    # leafy tilings give exponents 0 and +-1 only; other powers go by pow_enc
+    for F in (field_from_order(11), field_from_order(9)):
+        for e in (-3, -2, -1, 0, 1, 2, 3):
+            assert _column(F, 2, e) == [F.mul_enc(2, F.pow_enc(x, e))
+                                        for x in range(1, F.q)]
+
+
+@pytest.mark.parametrize("forest, leaf", (
+    (Forest.make(range(1, 7), [(1, 2), (2, 3), (4, 5), (5, 6)]), 1),
+    (Forest.make(range(1, 6), [(1, 2), (2, 3), (4, 5)]), 4),
+    (dynkin("A", 2), 1),
+))
+def test_split_off_the_sweep_matches_brute_loci(forest, leaf):
+    # T - f of two components, or a single vertex, takes the per-beta loop
+    for q in (3, 4, 5):
+        F = field_from_order(q)
+        inst = VarietyInstance(forest, random_coeffs(random.Random(q), F,
+                                                     forest), F)
+        pts = list(brute_points(inst))
+        pos = forest.vertices.index(leaf)
+        zero_brute = sum(1 for xs, _ in pts if xs[pos] == 0)
+        assert leaf_split_counts(inst, leaf) == (zero_brute,
+                                                 len(pts) - zero_brute)
+
+
+# (nodes, canonical_forms) as the per-beta recursion gave them before the
+# sweep: the sweep must make the same memo entries and keys
+PINNED_DYNKIN_STATS = (
+    (("A", 6, 17, ()), (35, 35)), (("A", 7, 17, (3,)), (36, 36)),
+    (("D", 4, 13, (2, 5)), (3, 3)), (("D", 7, 19, (4,)), (40, 40)),
+    (("D", 6, 9, (2, 3)), (12, 12)), (("E", 6, 23, ()), (47, 48)),
+    (("E", 7, 11, (5,)), (24, 25)), (("E", 8, 16, ()), (49, 50)),
+    (("E", 8, 31, ()), (94, 95)))
+PINNED_RANDOM_STATS = (
+    (8, 10), (7, 9), (33, 53), (106, 132), (197, 216), (27, 29), (6, 8),
+    (37, 44), (23, 39), (23, 32), (28, 31), (12, 14), (24, 30), (23, 31),
+    (8, 8), (42, 51), (35, 45), (12, 12))
+
+
+def test_stats_pinned():
+    for (t, rank, q, params), pinned in PINNED_DYNKIN_STATS:
+        inst = normal_form_instance(field_from_order(q), t, rank, params)
+        stats = recursive_count(inst).stats
+        assert (stats["nodes"], stats["canonical_forms"]) == pinned, (t, rank)
+    rng = random.Random(89)
+    for i, pinned in enumerate(PINNED_RANDOM_STATS):
+        F = field_from_order((3, 4, 5, 7, 8, 9)[i % 6])
+        f = random_tree(rng, rng.randint(6, 14))
+        stats = recursive_count(
+            VarietyInstance(f, random_coeffs(rng, F, f), F)).stats
+        assert (stats["nodes"], stats["canonical_forms"]) == pinned, i
+
+
+def test_matches_formula_at_q_1009():
+    # random coefficients on every vertex; the formula reads their normal form
+    F = field_from_order(1009)
+    rng = random.Random(83)
+    for t, ranks in (("A", range(2, 10)), ("D", range(4, 10)),
+                     ("E", range(6, 9))):
+        for rank in ranks:
+            f = dynkin(t, rank)
+            cm = random_coeffs(rng, F, f)
+            normal = normalize(f, dynkin_tiling(t, rank), cm).coeffs
+            assert (recursive_count(VarietyInstance(f, cm, F)).count
+                    == formula_count(t, rank, normal, F).count), (t, rank)
+
+
+def test_e8_all_ones_q_10007():
+    q = 10007
+    F = field_make(q)
+    f = dynkin("E", 8)
+    inst = VarietyInstance(f, CoeffMap.ones(F, f), F)
+    assert (recursive_count(inst).count
+            == q**8 + q**6 + q**5 + q**4 + q**3 + q**2 + 1)
+
+
+def test_e8_over_f256_matches_formula():
+    F = field_from_order(256)
+    f = dynkin("E", 8)
+    for cm in (CoeffMap.ones(F, f), random_coeffs(random.Random(97), F, f)):
+        normal = normalize(f, dynkin_tiling("E", 8), cm).coeffs
+        assert (recursive_count(VarietyInstance(f, cm, F)).count
+                == formula_count("E", 8, normal, F).count)
+
+
+def test_normalize_builds_no_inverse_table():
+    # a table of q entries is only worth building for a sweep over all beta
+    F = field_make(2**31 - 1)
+    f = dynkin("E", 8)
+    cm = random_coeffs(random.Random(101), F, f)
+    normalize(f, leafy_tiling(f), cm)
+    normalize(f, dynkin_tiling("E", 8), cm)
+    assert F._inv_table is None
