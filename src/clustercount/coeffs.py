@@ -128,7 +128,10 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
 
     Returns (g, (T - f, its encodings), (T - {f, g}, its encodings)); the
     encodings on T - f are those of `coeffs`, before any beta.
+    NotALeaf when f is not a vertex of degree 1.
     """
+    if leaf not in forest.adjacency:
+        raise NotALeaf(f"vertex {leaf} is not in the forest")
     if forest.degree(leaf) != 1:
         raise NotALeaf(f"vertex {leaf} has degree {forest.degree(leaf)}")
     vals = coeffs.values

@@ -1,6 +1,7 @@
 """Labeled forests, Dynkin diagram constructors, colorings and domino tilings.
 
-Vertex labels are positive integers; the Dynkin constructors label 1..n.
+Vertex labels are any integers, zero and negative ones included; the
+Dynkin constructors label 1..n.
 Frozen labeling conventions:
 
   A_n   path 1 - 2 - ... - n

@@ -21,14 +21,15 @@ The flips only divide, so every label is a Laurent monomial in the input
 coefficients: 1 on covered vertices, and on T' = T - f the beta child's
 label at an uncovered v is base_v * beta^e_v, with base the labels at
 beta = 1 and e_v the power of the coefficient at g
-(`Forest.flip_exponents`).  So the q - 1 children cost one replay: when
-every e_v is 0 they share one key and the sum is (q - 1) * N(beta = 1);
-otherwise the keys are built column by column from `Field.inv_table`.  Only
-a T' of one vertex or several trees (`leaf_split_counts` on a forest) takes
-a child at a time.  The memo still grows about as 3q on E8, but a memo miss
-is now the main cost: E8 with all ones takes 0.05 s at q = 1009, 0.5 s at
-q = 10007 and 6 s at q = 100003, against 13 s at q = 1009 replaying every
-child (2 CPUs, Python 3.11).
+(`Forest.flip_exponents`).  So a split of a tree takes one of three ways:
+a T' of one vertex g sums to q^2 - q + 1 in closed form (q - 1 points for
+each beta, and q more at beta = -1); when every e_v is 0 the q - 1
+children share one key and the sum is (q - 1) * N(beta = 1); otherwise
+their keys are built column by column from `Field.inv_table`, after one
+replay for all of them.  The memo still grows about as 3q on E8, but a
+memo miss is now the main cost: E8 with all ones takes 0.05 s at
+q = 1009, 0.5 s at q = 10007 and 6 s at q = 100003, against 13 s at
+q = 1009 replaying every child (2 CPUs, Python 3.11).
 
 Forests are shared: `Forest.remove` returns one object per dropped set, so
 what a forest caches (components, flips, exponents, canonical plan) is
@@ -44,11 +45,6 @@ from .counting import CountReport, VarietyInstance
 from .errors import ZeroCoefficient
 from .forests import Forest, canonical_form
 from .gf import Field
-
-
-def _memo_key(forest: Forest, labels: dict[int, int], q: int):
-    """The memo key of a tree whose normalized coefficients are `labels`."""
-    return canonical_form(forest, labels), q
 
 
 def _pick_leaf(forest: Forest) -> int:
@@ -68,12 +64,19 @@ def _count_keyed(forest: Forest, values: dict[int, int], labels: tuple,
     if key is None:
         full = dict.fromkeys(forest.vertices, 1)
         full.update(zip(forest.uncovered, labels))
-        key = known[labels] = _memo_key(forest, full, field.q)
+        key = known[labels] = canonical_form(forest, full), field.q
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = sum(_split_counts(forest, values, _pick_leaf(forest),
                                             field, memo, keys))
     return hit
+
+
+def _uncovered_labels(tree: Forest, values: dict, field: Field) -> tuple:
+    """The normalized labels of `tree` at `values` on `tree.uncovered`: one
+    replay of its `leafy_flips`."""
+    labels = apply_flips(field, values, tree.leafy_flips)
+    return tuple(map(labels.__getitem__, tree.uncovered))
 
 
 def _column(field: Field, b: int, e: int) -> list[int]:
@@ -85,25 +88,19 @@ def _column(field: Field, b: int, e: int) -> list[int]:
 
 def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
                   field: Field, memo: dict, keys: dict) -> tuple[int, int]:
-    """(zero part, nonzero part) of the split at `leaf`; see
-    `leaf_split_counts`."""
+    """(zero part, nonzero part) of the split of the tree `forest` at
+    `leaf`; see `leaf_split_counts`."""
     g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
         forest, CoeffMap(field, values), leaf)
     q = field.q
     zero_part = q * _count_forest(t_double, double, field, memo, keys)
-    if t_primed.n_vertices < 2 or len(t_primed.components) > 1:
-        nonzero_part = 0
-        for beta in range(1, q):
-            child = dict(primed)
-            child[g] = beta
-            nonzero_part += _count_forest(t_primed, child, field, memo, keys)
-        return zero_part, nonzero_part
+    if t_primed.n_vertices == 1:  # T' = {g}: x_g x'_g = 1 + beta
+        return zero_part, q * q - q + 1
     primed[g] = 1  # `primed` is each beta child in turn; nothing keeps it
-    labels = apply_flips(field, primed, t_primed.leafy_flips)
-    base = [labels[v] for v in t_primed.uncovered]
+    base = _uncovered_labels(t_primed, primed, field)
     exps = t_primed.flip_exponents(g)
     if not any(exps):
-        return zero_part, (q - 1) * _count_keyed(t_primed, primed, tuple(base),
+        return zero_part, (q - 1) * _count_keyed(t_primed, primed, base,
                                                  field, memo, keys)
     nonzero_part = 0
     columns = [_column(field, b, e) for b, e in zip(base, exps)]
@@ -124,10 +121,8 @@ def _count_forest(forest: Forest, values: dict[int, int], field: Field,
             minus_one = values[tree.vertices[0]] == field.neg_enc(1)
             total *= 2 * q - 1 if minus_one else q - 1
             continue
-        labels = apply_flips(field, values, tree.leafy_flips)
-        total *= _count_keyed(tree, values,
-                              tuple(map(labels.__getitem__, tree.uncovered)),
-                              field, memo, keys)
+        labels = _uncovered_labels(tree, values, field)
+        total *= _count_keyed(tree, values, labels, field, memo, keys)
     return total
 
 
@@ -157,12 +152,18 @@ def recursive_count(instance: VarietyInstance,
         "canonical_forms": sum(map(len, keys.values()))})
 
 
-def leaf_split_counts(instance: VarietyInstance, leaf: int,
-                      memo: dict | None = None) -> tuple[int, int]:
+def leaf_split_counts(instance: VarietyInstance, leaf: int) -> tuple[int, int]:
     """The two terms of the recursion at `leaf`: (count of the locus where
     the leaf variable vanishes, count where it is invertible).  Every
-    coefficient must be invertible, as in `recursive_count`."""
+    coefficient must be invertible, as in `recursive_count`.  On a forest
+    the leaf's tree is split, and both terms are multiplied by the count of
+    the other trees.  NotALeaf when `leaf` is not a vertex of degree 1."""
     _require_invertible(instance)
-    memo = {} if memo is None else memo
-    return _split_counts(instance.forest, instance.coeffs.values, leaf,
-                         instance.field, memo, defaultdict(dict))
+    forest, values, field = (instance.forest, instance.coeffs.values,
+                             instance.field)
+    comp = next((c for c in forest.components if leaf in c), ())
+    memo, keys = {}, defaultdict(dict)
+    zero_part, nonzero_part = _split_counts(forest.induced(comp), values,
+                                            leaf, field, memo, keys)
+    others = _count_forest(forest.remove(comp), values, field, memo, keys)
+    return zero_part * others, nonzero_part * others

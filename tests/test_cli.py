@@ -58,6 +58,25 @@ class TestCount:
         # path on 3 vertices, all-ones = A_3 special: q^3 - 1 + q^2
         assert payload["count"] == str(5**3 - 1 + 25)
 
+    def test_tree_file_takes_any_integer_labels(self, capsys, tmp_path):
+        # -3, -1, 0, 5, 7 in sorted order are 1..5, so both files give one
+        # tree with one coefficient order
+        outs = []
+        for name, text in (("signed", "-3 0\n0 -1\n0 5\n5 7\n"),
+                           ("positive", "1 3\n3 2\n3 4\n4 5\n")):
+            tree = tmp_path / f"{name}.txt"
+            tree.write_text(text)
+            for alpha in ("1,1,1,1,1", "2,3,1,4,2"):
+                code, out, _ = run_cli(capsys, "count", "--tree-file",
+                                       str(tree), "--q", "5", "--alpha", alpha,
+                                       "--method", "all", "--stats")
+                assert code == 0
+                outs.append(re.sub(r'"elapsed_ms": [0-9.e+-]+',
+                                   '"elapsed_ms": 0', out))
+        assert outs[:2] == outs[2:]
+        assert [json.loads(out)["count"] for out in outs[:2]] == ["3774",
+                                                                  "3124"]
+
     def test_coeff_file(self, capsys, tmp_path):
         tree = tmp_path / "tree.txt"
         tree.write_text("1 2\n2 3\n")
@@ -387,6 +406,12 @@ GOLDEN = [
      "4e7465b854996ef0"),
     ("count --type D --rank 5 --q 9 --method brute --stats", 0,
      "96ee864a73a5a122"),
+    ("count --type A --rank 2 --q 1009 --method recursion --stats", 0,
+     "67ec09560033af4d"),
+    ("count --type A --rank 1 --q 7 --alpha -1 --method recursion --stats", 0,
+     "0e0cdb8578297fc5"),
+    ("count --type D --rank 4 --q 31 --method recursion --stats", 0,
+     "9cad73cfc2bbbd0f"),
     ("count --type A --rank 4 --q 5 --method formula --stats", 0,
      "97f432ad8dce221b"),
     ("normalize --type A --rank 5 --alpha 2,3,4,5,6 --q 7", 0,

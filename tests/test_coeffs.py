@@ -282,6 +282,13 @@ class TestLeafRemoval:
         with pytest.raises(NotALeaf):
             leaf_removal_transforms(f, cm, 2)
 
+    def test_missing_vertex_not_a_leaf(self):
+        f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (4, 5)])
+        cm = CoeffMap.ones(field_make(5), f)
+        for v in (9, 3):  # absent, and present with degree 0
+            with pytest.raises(NotALeaf):
+                leaf_removal_transforms(f, cm, v)
+
     def test_zero_leaf_coefficient(self):
         f = dynkin("A", 2)
         cm = CoeffMap.make(field_make(5), {1: 0, 2: 1}, allow_zero=True)

@@ -6,13 +6,12 @@ import pytest
 from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           brute_points, canonical_form, dynkin,
                           field_from_order, field_make, leafy_tiling,
-                          normal_form_instance, normalize)
+                          normal_form_instance, normalize, recursion)
 from clustercount.coeffs import apply_flips
-from clustercount.errors import ZeroCoefficient
+from clustercount.errors import NotALeaf, ZeroCoefficient
 from clustercount.forests import dynkin_tiling, normal_form_slots
 from clustercount.formulas import formula_count
-from clustercount.recursion import (_column, _memo_key, leaf_split_counts,
-                                    recursive_count)
+from clustercount.recursion import _column, leaf_split_counts, recursive_count
 
 from helpers import random_coeffs, random_tree, reference_recursion, spider
 
@@ -75,7 +74,7 @@ def test_matches_brute_randomized():
 
 def test_memo_key_replays_normalize():
     # the forest's cached flips give what normalize gives on its leafy
-    # tiling, so the key is the canonical form of the normalized map
+    # tiling, so a tree's memo key is the canonical form of the normalized map
     rng = random.Random(67)
     for i in range(200):
         q = (2, 3, 4, 5, 7, 8, 9)[i % 7]
@@ -87,8 +86,10 @@ def test_memo_key_replays_normalize():
         norm = normalize(f, leafy_tiling(f), cm)
         labels = apply_flips(F, cm.values, f.leafy_flips)
         assert labels == norm.coeffs.values
-        assert (_memo_key(f, labels, q)
-                == (canonical_form(f, norm.coeffs.values), q))
+        if len(f.components) == 1 and f.n_vertices > 1:
+            memo = {}
+            recursive_count(VarietyInstance(f, cm, F), memo)
+            assert (canonical_form(f, norm.coeffs.values), q) in memo
 
 
 def test_long_path_matches_formula():
@@ -145,6 +146,18 @@ def test_zero_coefficient_rejected():
     cm = CoeffMap.make(F, {1: 0, 2: 1}, allow_zero=True)
     with pytest.raises(ZeroCoefficient):
         recursive_count(VarietyInstance(f, cm, F))
+
+
+def test_split_at_absent_vertex_rejected(monkeypatch):
+    # checked before the other trees are counted
+    def no_count(*args):
+        raise AssertionError("counted the other trees")
+    monkeypatch.setattr(recursion, "_count_forest", no_count)
+    F = field_make(5)
+    f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (4, 5)])
+    for v in (9, 3):
+        with pytest.raises(NotALeaf):
+            leaf_split_counts(VarietyInstance(f, CoeffMap.ones(F, f), F), v)
 
 
 def test_split_zero_coefficient_rejected():
@@ -268,14 +281,28 @@ def test_column_takes_any_exponent():
                                         for x in range(1, F.q)]
 
 
+def test_split_of_an_edge_is_closed_form():
+    # T - f = {g}: q - 1 points for each beta and q more at beta = -1, which
+    # at q = 2 is beta = 1
+    f = dynkin("A", 2)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = field_from_order(q)
+        for a, b in itertools.product(range(1, q), repeat=2):
+            inst = VarietyInstance(f, CoeffMap(F, {1: a, 2: b}), F)
+            assert leaf_split_counts(inst, 1) == (q, q * q - q + 1), (q, a, b)
+
+
 @pytest.mark.parametrize("forest, leaf", (
     (Forest.make(range(1, 7), [(1, 2), (2, 3), (4, 5), (5, 6)]), 1),
     (Forest.make(range(1, 6), [(1, 2), (2, 3), (4, 5)]), 4),
     (dynkin("A", 2), 1),
+    (Forest.make(range(1, 6), [(1, 2), (3, 4)]), 1),
 ))
-def test_split_off_the_sweep_matches_brute_loci(forest, leaf):
-    # T - f of two components, or a single vertex, takes the per-beta loop
-    for q in (3, 4, 5):
+def test_split_of_forest_or_edge_matches_brute_loci(forest, leaf):
+    # a forest's other trees multiply both terms; T - f = {g} is closed form
+    for q in (2, 3, 4, 5, 8, 9):
+        if q**forest.n_vertices > 10**5:  # brute_points yields every point
+            continue
         F = field_from_order(q)
         inst = VarietyInstance(forest, random_coeffs(random.Random(q), F,
                                                      forest), F)
