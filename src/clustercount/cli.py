@@ -6,8 +6,8 @@ arbitrary-precision values survive any JSON consumer.
 
 Exit codes: 0 success, 1 mathematical disagreement, failed check or
 arithmetic error (a count or a fit that cannot be right), 2 usage error
-(conflicting flags and a non-integer CLUSTERCOUNT_BUDGET included),
-3 enumeration budget exceeded.
+(conflicting flags, and a budget below 1 or a non-integer
+CLUSTERCOUNT_BUDGET, included), 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget_arg(p):
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget in elementary steps "
+                       help="enumeration budget in elementary steps, "
+                            "at least 1 "
                             f"(default {DEFAULT_BUDGET}, or "
                             "CLUSTERCOUNT_BUDGET)")
 

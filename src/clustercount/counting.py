@@ -54,10 +54,13 @@ def default_budget() -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise BadBudget(
             f"CLUSTERCOUNT_BUDGET must be an integer, got {env!r}") from None
+    if budget < 1:
+        raise BadBudget(f"CLUSTERCOUNT_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,11 @@ class CountReport:
 def _check_budget(n: int, q: int, budget: int | None, extra: int = 0) -> None:
     """The budget precondition on the cost model n * q^n elementary steps
     (at least q^n) plus `extra`: BudgetExceeded above `budget`,
-    default_budget() when None."""
-    budget = default_budget() if budget is None else budget
+    default_budget() when None, and BadBudget for a budget below 1."""
+    if budget is None:
+        budget = default_budget()
+    elif budget < 1:
+        raise BadBudget(f"budget must be at least 1, got {budget}")
     est = max(1, n) * q**n + extra
     if est > budget:
         raise BudgetExceeded(est, budget)

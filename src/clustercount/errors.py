@@ -34,7 +34,7 @@ class NotALeaf(ClusterCountError):
 
 
 class BadBudget(ClusterCountError):
-    """The CLUSTERCOUNT_BUDGET environment variable is not an integer."""
+    """A budget below 1, or a CLUSTERCOUNT_BUDGET that is not an integer."""
 
 
 class BudgetExceeded(ClusterCountError):

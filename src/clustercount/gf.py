@@ -10,10 +10,12 @@ so encodings are reproducible.
 An element is its encoding everywhere: the `Field` methods ending in
 `_enc` do the arithmetic on encodings, and `Field.text` prints one.
 
-An extension-field product is computed once from the digits and then kept
-in the field's dict keyed a * q + b, so `mul_enc` costs a lookup after the
-first call on a pair.  `mul_table` builds its rows from the digits without
-filling that dict.
+A prime field multiplies residues.  An extension field multiplies through
+its discrete logarithm: `log_tables` fixes a generator g of F_q^* and lists
+its powers once per field, so `mul_enc`, `inv_enc` and `pow_enc` add or
+scale logs mod q - 1 and `mul_table` is one gather.  The digit product
+`_mul_digits` is the one definition of the product; only that build reads
+it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DivisionByZero, NonPrime, UnsupportedSize
 
@@ -91,7 +95,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """A finite field F_q together with exact arithmetic on encodings."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_products", "_mul_table",
+    __slots__ = ("p", "k", "q", "modulus", "_logs", "_mul_table",
                  "_plus_one_table", "_inv_table")
 
     def __init__(self, p: int, k: int = 1):
@@ -108,7 +112,7 @@ class Field:
         self.k = k
         self.q = q
         self.modulus = _smallest_irreducible(p, k)
-        self._products: dict[int, int] = {}
+        self._logs = None
         self._mul_table = None
         self._plus_one_table = None
         self._inv_table = None
@@ -196,11 +200,10 @@ class Field:
     def mul_enc(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        key = a * self.q + b
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = self._mul_digits(a, b)
-        return out
+        if a == 0 or b == 0:
+            return 0
+        log, antilog = self.log_tables()
+        return antilog[(log[a] + log[b]) % (self.q - 1)]
 
     def _mul_digits(self, a: int, b: int) -> int:
         """The product of two extension-field encodings, from their digits."""
@@ -214,48 +217,74 @@ class Field:
                                       self.modulus, self.p))
 
     def pow_enc(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_enc(self.inv_enc(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul_enc(out, base)
-            base = self.mul_enc(base, base)
-            e >>= 1
-        return out
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero("0 has no inverse")
+            return int(e == 0)
+        if self.k == 1:
+            return pow(a, e, self.p)
+        log, antilog = self.log_tables()
+        return antilog[log[a] * e % (self.q - 1)]
 
     def inv_enc(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no inverse")
+        return self.pow_enc(a, -1)
+
+    # -- discrete logarithm of an extension field -------------------------------
+
+    def log_tables(self) -> tuple[list[int], list[int]]:
+        """(log, antilog) of an extension field, built on first use:
+        antilog[i] is g^i for 0 <= i < q - 1, where g is the least encoding
+        >= p whose q - 1 powers are all distinct, and log[antilog[i]] == i
+        (log[0] is 0 and stands for no power).  A prime field has none: it
+        multiplies residues, at q up to 2^31."""
         if self.k == 1:
-            return pow(a, -1, self.p)
-        return self.pow_enc(a, self.q - 2)
+            raise UnsupportedSize(f"F_{self.p} is a prime field: no log tables")
+        if self._logs is None:
+            antilog = next(pw for g in range(self.p, self.q)
+                           if not ((pw := self._powers(g))[1:] == 1).any())
+            log = np.zeros(self.q, dtype=np.int64)
+            log[antilog] = np.arange(self.q - 1)
+            self._logs = log.tolist(), antilog.tolist()
+        return self._logs
+
+    def _powers(self, g: int):
+        """g^0 ... g^(q-2) as an int64 array, in baby and giant steps: the
+        first B = ceil(sqrt(q - 1)) powers one `_mul_digits` at a time, then
+        each further block of B as the digit vectors of the last block times
+        the F_p-linear map "multiply by g^B", one int64 matrix product."""
+        p, k, q = self.p, self.k, self.q
+        baby = [1]
+        for _ in range(math.isqrt(q - 2) + 1):
+            baby.append(self._mul_digits(baby[-1], g))
+        giant = baby.pop()
+        step = np.array([self._digits(self._mul_digits(giant, p**i))
+                         for i in range(k)], dtype=np.int64)
+        block = np.array([self._digits(b) for b in baby], dtype=np.int64)
+        weights = p ** np.arange(k, dtype=np.int64)
+        out = []
+        for _ in range(-(-(q - 1) // len(baby))):
+            out.append(block @ weights)
+            block = block @ step % p
+        return np.concatenate(out)[:q - 1]
 
     # -- lookup tables for the enumeration kernels ------------------------------
 
     def mul_table(self):
         """(q, q) int64 multiplication table on encodings."""
-        import numpy as np
-
         if self._mul_table is None:
             q = self.q
             if self.k == 1:
                 col = np.arange(q, dtype=np.int64)
                 self._mul_table = (col[:, None] * col[None, :]) % q
             else:
-                tab = np.zeros((q, q), dtype=np.int64)
-                for a in range(q):
-                    for b in range(a, q):
-                        v = self._mul_digits(a, b)
-                        tab[a, b] = v
-                        tab[b, a] = v
+                log, antilog = map(np.array, self.log_tables())
+                tab = antilog.take(log[:, None] + log[None, :], mode="wrap")
+                tab[0, :] = tab[:, 0] = 0
                 self._mul_table = tab
         return self._mul_table
 
     def plus_one_table(self):
         """int64 table mapping encoding of v to encoding of v + 1."""
-        import numpy as np
-
         if self._plus_one_table is None:
             self._plus_one_table = np.array(
                 [self.add_enc(c, 1) for c in range(self.q)], dtype=np.int64)

@@ -232,6 +232,22 @@ class TestCount:
         assert err.startswith("error: ")
         assert "CLUSTERCOUNT_BUDGET" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "-1000000000"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, monkeypatch,
+                                                value):
+        # not "unlimited", not "over budget": exit 2 naming the value
+        for command in ("count", "singular"):
+            code, out, err = run_cli(capsys, command, "--type", "A", "--rank",
+                                     "2", "--q", "3", "--budget", value)
+            assert (code, out) == (2, "")
+            assert err == f"error: budget must be at least 1, got {value}\n"
+        monkeypatch.setenv("CLUSTERCOUNT_BUDGET", value)
+        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                 "2", "--q", "3", "--method", "brute")
+        assert (code, out) == (2, "")
+        assert err == ("error: CLUSTERCOUNT_BUDGET must be at least 1, "
+                       f"got {value}\n")
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "--type", "A", "--rank", "8",
                                "--q", "7", "--budget", "10", "--method",
@@ -426,6 +442,16 @@ GOLDEN = [
     ("interpolate --type D --rank 4 --branch generic --degree 4 --ascending",
      0, "f7549b00e03085f4"),
     ("check --suite cohomology", 0, "71855a881b47d867"),
+    ("count --type E --rank 8 --q 256 --alpha 2,3,5,7,11,13,17,19 "
+     "--method recursion --stats", 0, "42667d6257ad1afc"),
+    ("count --type D --rank 6 --q 27 --alpha 5,7 --method recursion --stats",
+     0, "d0b18f8e2d02b52a"),
+    ("count --type A --rank 3 --q 16 --alpha 3:1 --method all --stats", 0,
+     "5421711340d8b718"),
+    ("count --type A --rank 2 --q 256 --method brute", 0, "c0f95e3fd9debb0b"),
+    ("normalize --type E --rank 8 --alpha 2,3,4,5,6,7,8,9 --q 16", 0,
+     "e599215f3229a2de"),
+    ("singular --type A --rank 5 --alpha 2 --q 9", 0, "28b6ae0277799054"),
 ]
 
 

@@ -8,7 +8,7 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
 from clustercount import _countpy, counting
-from clustercount.errors import BudgetExceeded
+from clustercount.errors import BadBudget, BudgetExceeded
 from clustercount.recursion import recursive_count
 
 from helpers import (naive_count, random_coeffs, random_tree,
@@ -249,6 +249,18 @@ class TestBruteCount:
         with pytest.raises(BudgetExceeded) as exc:
             brute_count(inst, budget=1000)
         assert exc.value.estimate == 8 * 7**8
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget, monkeypatch):
+        inst = _instance("A", 1, field_make(2))
+        with pytest.raises(BadBudget, match=f"^budget must be at least 1, "
+                                            f"got {budget}$"):
+            brute_count(inst, budget=budget)
+        assert brute_count(inst, budget=2).count == 3  # n * q^n = 2
+        monkeypatch.setenv("CLUSTERCOUNT_BUDGET", str(budget))
+        with pytest.raises(BadBudget, match="^CLUSTERCOUNT_BUDGET must be at "
+                                            f"least 1, got {budget}$"):
+            brute_count(inst)
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("CLUSTERCOUNT_BUDGET", "10")

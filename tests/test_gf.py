@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,10 @@ from clustercount.errors import (DivisionByZero, NonPrime, UnsupportedSize,
                                  ZeroCoefficient)
 from clustercount.forests import Forest
 from clustercount.gf import is_prime
+
+EXTENSIONS_BELOW_2_12 = [
+    p**k for p in range(2, 64) if is_prime(p)
+    for k in range(2, 12) if p**k < 2**12]
 
 
 def test_prime_field_construction():
@@ -128,8 +133,9 @@ def test_field_axioms_exhaustive_scalar(q):
 
 @pytest.mark.parametrize("q", [9, 11, 16, 25, 27, 32, 49, 64])
 def test_field_axioms_exhaustive_tables(q):
-    # all q^3 triples at once: the tables are built entry-by-entry from the
-    # scalar ops, so composing them exercises the real arithmetic
+    # all q^3 triples at once: the product table is the log-table gather
+    # (checked against the digit product in test_mul_table_is_digit_product)
+    # and the sum table is built here from add_enc
     import numpy as np
     f = field_from_order(q)
     mul = f.mul_table()
@@ -181,13 +187,94 @@ def test_element_ops_match_int_mod(p, x, y):
 
 
 def test_tables_match_ops():
-    # the tables are built from the digits and leave mul_enc's memo empty
+    # an extension field's product table reads its log tables; a prime
+    # field's is residue arithmetic and builds none
     for q in (4, 5, 8, 9, 27):
         f = field_from_order(q)
         mul = f.mul_table()
-        assert not f._products
+        assert (f._logs is None) == (f.k == 1)
         plus = f.plus_one_table()
         for a in range(q):
             assert plus[a] == f.add_enc(a, 1)
             for b in range(q):
                 assert mul[a, b] == f.mul_enc(a, b)
+
+
+# -- discrete-log tables of the extension fields --------------------------------
+
+def _pow_digits(f, a, e):
+    """a^e by square-and-multiply on `_mul_digits`, a^-1 as a^(q-2)."""
+    if e < 0:
+        a, e = _pow_digits(f, a, f.q - 2), -e
+    out = 1
+    while e:
+        if e & 1:
+            out = f._mul_digits(out, a)
+        a, e = f._mul_digits(a, a), e >> 1
+    return out
+
+
+@pytest.mark.parametrize("q", EXTENSIONS_BELOW_2_12)
+def test_log_tables_walk_the_least_generator(q):
+    f = field_from_order(q)
+    log, antilog = f.log_tables()
+    g = antilog[1]
+    assert len(antilog) == len(set(antilog)) == q - 1 and 0 not in antilog
+    assert all(antilog[i + 1] == f._mul_digits(g, antilog[i])
+               for i in range(q - 2))
+    assert f._mul_digits(g, antilog[-1]) == 1 == antilog[0]
+    assert all(log[antilog[i]] == i for i in range(q - 1))
+    # h generates F_q^* exactly when gcd(log h, q - 1) == 1; g is the least
+    # encoding >= p that does
+    assert all(math.gcd(log[h], q - 1) > 1 for h in range(f.p, g))
+    assert all(type(x) is int for x in log + antilog)
+    assert f.log_tables() is f.log_tables()
+
+
+@pytest.mark.parametrize("q", [2**16, 3**9, 101**2])
+def test_log_tables_large_build(q):
+    import random
+    f = field_from_order(q)
+    log, antilog = f.log_tables()
+    g, rng = antilog[1], random.Random(q)
+    assert len(set(antilog)) == q - 1 and 0 not in antilog
+    for i in [0, q - 3] + rng.sample(range(q - 2), 200):
+        assert antilog[i + 1] == f._mul_digits(g, antilog[i])
+        assert log[antilog[i]] == i
+    assert f._mul_digits(g, antilog[-1]) == 1
+    assert type(log[-1]) is int and type(antilog[-1]) is int
+
+
+@pytest.mark.parametrize("q", [q for q in EXTENSIONS_BELOW_2_12 if q <= 256])
+def test_mul_table_is_digit_product(q):
+    f = field_from_order(q)
+    mul = f.mul_table()
+    assert [[f._mul_digits(a, b) for b in range(q)] for a in range(q)] \
+        == mul.tolist()
+    assert all(f.mul_enc(a, b) == mul[a, b]
+               for a in range(q) for b in range(0, q, 7))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 64, 81, 121, 243, 256])
+def test_pow_and_inv_match_square_and_multiply(q):
+    f = field_from_order(q)
+    for a in range(1, q):
+        assert f.inv_enc(a) == _pow_digits(f, a, -1)
+        for e in (-2 * q - 1, -q, -3, -1, 0, 1, 2, q - 2, q - 1, q, 5 * q + 3):
+            assert f.pow_enc(a, e) == _pow_digits(f, a, e)
+    assert [f.pow_enc(0, e) for e in (0, 1, q)] == [1, 0, 0]
+    with pytest.raises(DivisionByZero):
+        f.pow_enc(0, -1)
+    with pytest.raises(DivisionByZero):
+        f.inv_enc(0)
+
+
+def test_prime_fields_have_no_log_tables():
+    f = field_make(2**31 - 1)
+    with pytest.raises(UnsupportedSize):
+        f.log_tables()
+    assert f.pow_enc(3, -1) == pow(3, -1, 2**31 - 1)
+    assert f.pow_enc(0, 0) == 1
+    with pytest.raises(DivisionByZero):
+        f.pow_enc(0, -2)
+    assert f._logs is None

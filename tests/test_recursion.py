@@ -381,3 +381,4 @@ def test_normalize_builds_no_inverse_table():
     normalize(f, leafy_tiling(f), cm)
     normalize(f, dynkin_tiling("E", 8), cm)
     assert F._inv_table is None
+    assert F._logs is None
