@@ -38,7 +38,8 @@ from functools import cached_property
 
 from . import _countpy
 from .coeffs import CoeffMap
-from .errors import BadBudget, BudgetExceeded, UnsupportedType
+from .errors import (BadBudget, BudgetExceeded, UnsupportedSize,
+                     UnsupportedType)
 from .forests import Forest, dynkin, normal_form_slots
 from .gf import Field
 
@@ -157,8 +158,8 @@ def _pick_engine(engine: str, field: Field) -> str:
     if engine not in ("numpy", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "numpy" and field.q > TABLE_MAX_Q:
-        raise ValueError(f"q = {field.q} is above the lookup-table limit "
-                         f"{TABLE_MAX_Q}; use engine='scalar'")
+        raise UnsupportedSize(f"q = {field.q} is above the lookup-table "
+                              f"limit {TABLE_MAX_Q}; use engine='scalar'")
     return engine
 
 

@@ -270,24 +270,30 @@ class Field:
     # -- lookup tables for the enumeration kernels ------------------------------
 
     def mul_table(self):
-        """(q, q) int64 multiplication table on encodings."""
+        """(q, q) multiplication table on encodings, in the narrowest
+        unsigned dtype that holds q - 1: uint8 up to q = 256, else uint16
+        up to the kernel's q <= 1024."""
         if self._mul_table is None:
-            q = self.q
+            q, dtype = self.q, np.min_scalar_type(self.q - 1)
             if self.k == 1:
                 col = np.arange(q, dtype=np.int64)
-                self._mul_table = (col[:, None] * col[None, :]) % q
+                tab = col[:, None] * col[None, :] % q
+                self._mul_table = tab.astype(dtype)
             else:
                 log, antilog = map(np.array, self.log_tables())
-                tab = antilog.take(log[:, None] + log[None, :], mode="wrap")
+                tab = antilog.astype(dtype).take(log[:, None] + log[None, :],
+                                                 mode="wrap")
                 tab[0, :] = tab[:, 0] = 0
                 self._mul_table = tab
         return self._mul_table
 
     def plus_one_table(self):
-        """int64 table mapping encoding of v to encoding of v + 1."""
+        """Table mapping encoding of v to encoding of v + 1, in the dtype
+        of `mul_table`."""
         if self._plus_one_table is None:
             self._plus_one_table = np.array(
-                [self.add_enc(c, 1) for c in range(self.q)], dtype=np.int64)
+                [self.add_enc(c, 1) for c in range(self.q)],
+                dtype=np.min_scalar_type(self.q - 1))
         return self._plus_one_table
 
     def inv_table(self) -> list[int]:

@@ -452,6 +452,17 @@ GOLDEN = [
     ("normalize --type E --rank 8 --alpha 2,3,4,5,6,7,8,9 --q 16", 0,
      "e599215f3229a2de"),
     ("singular --type A --rank 5 --alpha 2 --q 9", 0, "28b6ae0277799054"),
+    # the scan kernel around its dtype boundaries: q = 17 and 31 are the
+    # first primes whose suffix product indices pass 255, q = 257 and 1024
+    # need two-byte encodings
+    ("count --type D --rank 4 --q 17 --alpha 3,5 --method all", 0,
+     "085031354ee96ef6"),
+    ("count --type A --rank 3 --q 31 --alpha 5 --method all", 0,
+     "0881f38a43f8829a"),
+    ("count --type A --rank 2 --q 257 --method brute", 0, "bbc8890e41ca2a82"),
+    ("count --type A --rank 2 --q 1024 --alpha 3,5 --method brute", 0,
+     "5ad69c5047549395"),
+    ("count --type E --rank 6 --q 16 --method all", 0, "53a29cbcd39352fc"),
 ]
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           dynkin, field_from_order, field_make,
                           normal_form_instance)
 from clustercount import _countpy, counting
-from clustercount.errors import BadBudget, BudgetExceeded
+from clustercount.errors import (BadBudget, BudgetExceeded, NonPrime,
+                                 UnsupportedSize)
 from clustercount.recursion import recursive_count
 
 from helpers import (naive_count, random_coeffs, random_tree,
@@ -157,6 +160,78 @@ class TestBruteCount:
                                    *inst.scan_arrays, 0, 81, 3)
         assert got == counting._count_scalar(inst, 0, 81)
         assert 0 < len(tallies) < 27
+
+    @pytest.mark.parametrize("q", [16, 17, 31, 251, 256, 257, 1021, 1024])
+    def test_kernel_dtype_boundaries(self, q):
+        # vertex 1 is joined to the last two vertices, so that in blocks of
+        # q^2 or more it multiplies two suffix digits: a product index
+        # formed in the tables' uint8 or uint16 would wrap from q = 17 on.
+        # Most ranges start where x_1 = 0, so that only that product can
+        # keep vertex 1 alive; alpha_1 != 0, every other alpha may be 0.
+        rng = random.Random(q)
+        F = field_from_order(q)
+        tables = F.mul_table(), F.plus_one_table()
+        for i in range(4):
+            n = rng.randint(3, 5)
+            rest = [(rng.choice([1, n - 1, n, *range(2, v)]), v)
+                    for v in range(2, n - 1)]
+            f = Forest.make(range(1, n + 1), [(1, n - 1), (1, n)]
+                            + [e for e in rest if rng.random() < 0.75])
+            values = {v: rng.randrange(q) for v in f.vertices}
+            values[1] = rng.randrange(1, q)
+            cm = CoeffMap.make(F, values, allow_zero=True)
+            inst = VarietyInstance(f, cm, F)
+            lo = rng.randrange(min(q ** (n - 1 if i else n), 10**7))
+            hi = min(lo + rng.randint(1, 2000), q**n)
+            want = counting._count_scalar(inst, lo, hi)
+            for block in (1, q, q * q, _countpy.BLOCK):
+                assert want == _countpy.count_block(
+                    q, *tables, *inst.scan_arrays, lo, hi, block), block
+
+    def test_kernel_keeps_no_field_state(self):
+        F = field_make(17)
+        inst = _instance("A", 3, F)
+        assert _countpy.count_block(17, F.mul_table(), F.plus_one_table(),
+                                    *inst.scan_arrays, 0, 17**3) == \
+            counting._count_scalar(inst, 0, 17**3)
+        table = weakref.ref(F.mul_table())
+        del F, inst
+        gc.collect()
+        assert table() is None
+
+    def test_layout_cache_is_read_only_and_bounded(self):
+        x, zeros = _countpy._layout(5, 3, np.dtype(np.uint8))
+        with pytest.raises(ValueError):
+            x[0, 0] = 1
+        with pytest.raises(ValueError):
+            zeros[0] = 1
+        # a scan at every q <= 64 with the largest suffix BLOCK allows:
+        # the cache keeps the last LAYOUTS of them, 16 * BLOCK bytes each
+        # at most
+        _countpy._layout.cache_clear()
+        keys = []
+        for q in range(2, 65):
+            try:
+                F = field_from_order(q)
+            except NonPrime:
+                continue
+            k = max(k for k in range(16) if q**k <= _countpy.BLOCK)
+            brute_count(_instance("A", k + 1, F))
+            keys.append((q, k, F.mul_table().dtype))
+        info = _countpy._layout.cache_info()
+        assert info.currsize == info.maxsize == _countpy.LAYOUTS
+        held = [_countpy._layout(*key) for key in keys[-_countpy.LAYOUTS:]]
+        assert _countpy._layout.cache_info().hits == \
+            info.hits + _countpy.LAYOUTS
+        assert sum(a.nbytes for layout in held for a in layout) <= \
+            _countpy.LAYOUTS * 16 * _countpy.BLOCK
+
+    def test_engine_refusals(self):
+        inst = _instance("A", 1, field_make(1031))
+        with pytest.raises(UnsupportedSize, match="lookup-table limit 1024"):
+            brute_count(inst, engine="numpy")
+        with pytest.raises(ValueError, match="unknown engine 'cython'"):
+            brute_count(inst, engine="cython")
 
     def test_scalar_parallel_equals_serial(self, monkeypatch):
         monkeypatch.setattr(counting, "_SCALAR_PARALLEL_THRESHOLD", 1 << 12)

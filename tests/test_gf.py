@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,16 @@ def test_element_ops_match_int_mod(p, x, y):
     assert f.add_enc(a, b) == (x + y) % p
     assert f.mul_enc(a, b) == (x * y) % p
     assert f.sub_enc(a, b) == (x - y) % p
+
+
+def test_table_dtypes():
+    # the narrowest unsigned dtype that holds q - 1, built once per field
+    for q, dtype in ((251, np.uint8), (256, np.uint8), (257, np.uint16),
+                     (1024, np.uint16)):
+        f = field_from_order(q)
+        assert f.mul_table().dtype == f.plus_one_table().dtype == dtype
+        assert f.mul_table() is f.mul_table()
+        assert f.plus_one_table() is f.plus_one_table()
 
 
 def test_tables_match_ops():
