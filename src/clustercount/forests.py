@@ -97,8 +97,10 @@ class Forest:
         return {}
 
     def remove(self, drop) -> "Forest":
-        """The subforest without the vertices in `drop`: one object per
-        dropped set, so what is cached on it is computed once."""
+        """The subforest without the vertices in `drop`, one object per
+        dropped set on this forest: a second `remove` of the same set
+        returns it again, but another forest on the same vertices is
+        another object, with its own caches."""
         drop = frozenset(drop)
         sub = self._removals.get(drop)
         if sub is None:
@@ -112,10 +114,40 @@ class Forest:
         return tuple(self.induced(comp) for comp in self.components)
 
     @cached_property
+    def _leafy_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The dominoes (v, c) of the leafy tiling, parent first, listed top
+        down: each component is hung from its largest vertex, and each
+        vertex that its parent did not take takes its largest child c."""
+        pairs = []
+        for comp in self.components:
+            top_down, parent = hang(self, comp[-1:])
+            taken = set()
+            for v in top_down:
+                children = [u for u in self.adjacency[v] if u != parent[v]]
+                if v not in taken and children:
+                    pairs.append((v, children[-1]))
+                    taken.add(children[-1])
+        return tuple(pairs)
+
+    @cached_property
     def leafy_flips(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """`flip_plan` of `leafy_tiling(self)`: the flips that `normalize`
-        makes on this forest, ready to replay on any coefficients."""
-        return flip_plan(self, leafy_tiling(self))
+        """The flips that `normalize` makes on `leafy_tiling(self)`, ready
+        to replay on any coefficients: each child over its parent, bottom
+        up, then each parent over its child, top down.
+
+        A child's flip divides its parent's parent and its untaken
+        siblings, none of them a child flipped before it; a parent's flip
+        divides its child's children, which nothing has taken and whose own
+        flips come later.  So no flip divides a vertex that an earlier one
+        set to 1, which is `flip_plan`'s constraint, and the replay gives
+        `normalize`'s values (see `coeffs`) without its colouring or sort.
+        """
+        adj = self.adjacency
+        pairs = self._leafy_pairs
+        return tuple(
+            [(c, v, tuple(u for u in adj[v] if u != c))
+             for v, c in reversed(pairs)]
+            + [(v, c, tuple(u for u in adj[c] if u != v)) for v, c in pairs])
 
     @cached_property
     def uncovered(self) -> tuple[int, ...]:
@@ -311,20 +343,11 @@ def bipartite_color(forest: Forest) -> dict[int, str]:
 def leafy_tiling(forest: Forest) -> DominoTiling:
     """A deterministic partial tiling whose uncovered vertices are all leaves.
 
-    Each component is hung from its largest vertex, and each vertex that its
-    parent did not take takes its largest child.  Any vertex left uncovered
-    therefore has no children at all, i.e. is a leaf (or an isolated vertex).
+    Its dominoes are `Forest._leafy_pairs`: each vertex that its parent did
+    not take takes its largest child, so any vertex left uncovered has no
+    children at all, i.e. is a leaf (or an isolated vertex).
     """
-    dominoes = []
-    for comp in forest.components:
-        top_down, parent = hang(forest, comp[-1:])
-        taken = set()
-        for v in top_down:
-            children = [u for u in forest.adjacency[v] if u != parent[v]]
-            if v not in taken and children:
-                dominoes.append((v, children[-1]))
-                taken.add(children[-1])
-    return DominoTiling.make(dominoes)
+    return DominoTiling.make(forest._leafy_pairs)
 
 
 def flip_plan(forest: Forest, tiling: DominoTiling

@@ -13,8 +13,12 @@ when alpha = -1, and the empty forest (one point).
 
 A tree's memo key is the canonical form of its labels after `normalize` on
 its leafy tiling, so children that normalize alike share one entry.  Each
-count keeps a key cache from the exact labels, per tree edges, to the key:
-a key costs one replay of `Forest.leafy_flips` and one lookup, and
+count keeps a tree table: per edge set of a tree of two or more vertices,
+the first `Forest` the count met on it, and a key cache from the exact
+labels to the key.  Every later visit to those edges, through another
+removal or another component split, uses that tree, so what it caches
+(components, flips, exponents, canonical plan, removals) is built once per
+count.  A key costs one replay of `Forest.leafy_flips` and one lookup, and
 `canonical_form` runs once per distinct normalized tree.
 
 The flips only divide, so every label is a Laurent monomial in the input
@@ -30,15 +34,9 @@ replay for all of them.  The memo still grows about as 3q on E8, but a
 memo miss is now the main cost: E8 with all ones takes 0.05 s at
 q = 1009, 0.5 s at q = 10007 and 6 s at q = 100003, against 13 s at
 q = 1009 replaying every child (2 CPUs, Python 3.11).
-
-Forests are shared: `Forest.remove` returns one object per dropped set, so
-what a forest caches (components, flips, exponents, canonical plan) is
-computed once per shape.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
@@ -55,20 +53,19 @@ def _pick_leaf(forest: Forest) -> int:
                key=lambda f: forest.degree(forest.adjacency[f][0]))
 
 
-def _count_keyed(forest: Forest, values: dict[int, int], labels: tuple,
-                 field: Field, memo: dict, keys: dict) -> int:
-    """The count of the tree `forest` at `values`, whose normalized labels
-    are `labels` on `forest.uncovered` and 1 elsewhere."""
-    known = keys[forest.edges]
+def _count_keyed(tree: Forest, known: dict, values: dict[int, int],
+                 labels: tuple, field: Field, memo: dict, trees: dict) -> int:
+    """The count of `tree` at `values`, whose normalized labels are `labels`
+    on `tree.uncovered` and 1 elsewhere; `known` is its key cache."""
     key = known.get(labels)
     if key is None:
-        full = dict.fromkeys(forest.vertices, 1)
-        full.update(zip(forest.uncovered, labels))
-        key = known[labels] = canonical_form(forest, full), field.q
+        full = dict.fromkeys(tree.vertices, 1)
+        full.update(zip(tree.uncovered, labels))
+        key = known[labels] = canonical_form(tree, full), field.q
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = sum(_split_counts(forest, values, _pick_leaf(forest),
-                                            field, memo, keys))
+        hit = memo[key] = sum(_split_counts(tree, values, _pick_leaf(tree),
+                                            field, memo, trees))
     return hit
 
 
@@ -87,32 +84,33 @@ def _column(field: Field, b: int, e: int) -> list[int]:
 
 
 def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
-                  field: Field, memo: dict, keys: dict) -> tuple[int, int]:
+                  field: Field, memo: dict, trees: dict) -> tuple[int, int]:
     """(zero part, nonzero part) of the split of the tree `forest` at
     `leaf`; see `leaf_split_counts`."""
     g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
         forest, CoeffMap(field, values), leaf)
     q = field.q
-    zero_part = q * _count_forest(t_double, double, field, memo, keys)
+    zero_part = q * _count_forest(t_double, double, field, memo, trees)
     if t_primed.n_vertices == 1:  # T' = {g}: x_g x'_g = 1 + beta
         return zero_part, q * q - q + 1
+    t_primed, known = trees.setdefault(t_primed.edges, (t_primed, {}))
     primed[g] = 1  # `primed` is each beta child in turn; nothing keeps it
     base = _uncovered_labels(t_primed, primed, field)
     exps = t_primed.flip_exponents(g)
     if not any(exps):
-        return zero_part, (q - 1) * _count_keyed(t_primed, primed, base,
-                                                 field, memo, keys)
+        return zero_part, (q - 1) * _count_keyed(t_primed, known, primed, base,
+                                                 field, memo, trees)
     nonzero_part = 0
     columns = [_column(field, b, e) for b, e in zip(base, exps)]
     for beta, labels in enumerate(zip(*columns), 1):
         primed[g] = beta
-        nonzero_part += _count_keyed(t_primed, primed, labels, field, memo,
-                                     keys)
+        nonzero_part += _count_keyed(t_primed, known, primed, labels, field,
+                                     memo, trees)
     return zero_part, nonzero_part
 
 
 def _count_forest(forest: Forest, values: dict[int, int], field: Field,
-                  memo: dict, keys: dict) -> int:
+                  memo: dict, trees: dict) -> int:
     """The product of the counts of the trees of `forest` at `values`."""
     total, q = 1, field.q
     one_tree = len(forest.components) == 1
@@ -121,8 +119,9 @@ def _count_forest(forest: Forest, values: dict[int, int], field: Field,
             minus_one = values[tree.vertices[0]] == field.neg_enc(1)
             total *= 2 * q - 1 if minus_one else q - 1
             continue
+        tree, known = trees.setdefault(tree.edges, (tree, {}))
         labels = _uncovered_labels(tree, values, field)
-        total *= _count_keyed(tree, values, labels, field, memo, keys)
+        total *= _count_keyed(tree, known, values, labels, field, memo, trees)
     return total
 
 
@@ -144,12 +143,12 @@ def recursive_count(instance: VarietyInstance,
     _require_invertible(instance)
     memo = {} if memo is None else memo
     before = len(memo)
-    keys = defaultdict(dict)
+    trees = {}
     total = _count_forest(instance.forest, instance.coeffs.values,
-                          instance.field, memo, keys)
+                          instance.field, memo, trees)
     return CountReport(total, stats={
         "nodes": len(memo) - before,
-        "canonical_forms": sum(map(len, keys.values()))})
+        "canonical_forms": sum(len(known) for _, known in trees.values())})
 
 
 def leaf_split_counts(instance: VarietyInstance, leaf: int) -> tuple[int, int]:
@@ -162,8 +161,8 @@ def leaf_split_counts(instance: VarietyInstance, leaf: int) -> tuple[int, int]:
     forest, values, field = (instance.forest, instance.coeffs.values,
                              instance.field)
     comp = next((c for c in forest.components if leaf in c), ())
-    memo, keys = {}, defaultdict(dict)
+    memo, trees = {}, {}
     zero_part, nonzero_part = _split_counts(forest.induced(comp), values,
-                                            leaf, field, memo, keys)
-    others = _count_forest(forest.remove(comp), values, field, memo, keys)
+                                            leaf, field, memo, trees)
+    others = _count_forest(forest.remove(comp), values, field, memo, trees)
     return zero_part * others, nonzero_part * others

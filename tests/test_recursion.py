@@ -1,19 +1,22 @@
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
 from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           brute_points, canonical_form, dynkin,
-                          field_from_order, field_make, leafy_tiling,
-                          normal_form_instance, normalize, recursion)
+                          field_from_order, field_make, forests,
+                          leafy_tiling, normal_form_instance, normalize,
+                          recursion)
 from clustercount.coeffs import apply_flips
 from clustercount.errors import NotALeaf, ZeroCoefficient
 from clustercount.forests import dynkin_tiling, normal_form_slots
 from clustercount.formulas import formula_count
 from clustercount.recursion import _column, leaf_split_counts, recursive_count
 
-from helpers import random_coeffs, random_tree, reference_recursion, spider
+from helpers import (random_coeffs, random_tree, reference_recursion, relabel,
+                     spider)
 
 
 def test_a2_all_ones_q3():
@@ -72,24 +75,81 @@ def test_matches_brute_randomized():
                     == brute_count(inst).count)
 
 
+def _leafy_cases():
+    """Random forests of up to 30 vertices, most with several components,
+    on shuffled labels (negative ones included, as the leafy rule reads
+    their order), each with a field from F_2 ... F_9."""
+    rng = random.Random(67)
+    for i in range(280):
+        F = field_from_order((2, 3, 4, 5, 7, 8, 9)[i % 7])
+        n = rng.randint(1, 9 if i % 2 else 30)
+        tree = relabel(random_tree(rng, n),
+                       dict(zip(range(1, n + 1), rng.sample(range(-9, 60), n))))
+        yield F, Forest.make(tree.vertices,
+                             [e for e in tree.edges if rng.random() < 0.8])
+
+
 def test_memo_key_replays_normalize():
     # the forest's cached flips give what normalize gives on its leafy
-    # tiling, so a tree's memo key is the canonical form of the normalized map
-    rng = random.Random(67)
-    for i in range(200):
-        q = (2, 3, 4, 5, 7, 8, 9)[i % 7]
-        F = field_from_order(q)
-        tree = random_tree(rng, rng.randint(1, 9))
-        f = Forest.make(tree.vertices,
-                        [e for e in tree.edges if rng.random() < 0.8])
+    # tiling, so each tree's memo key is the canonical form of the
+    # normalized map on it; and they keep flip_plan's constraint, so the
+    # order is a valid one
+    rng = random.Random(68)
+    for F, f in _leafy_cases():
         cm = random_coeffs(rng, F, f)
         norm = normalize(f, leafy_tiling(f), cm)
         labels = apply_flips(F, cm.values, f.leafy_flips)
         assert labels == norm.coeffs.values
-        if len(f.components) == 1 and f.n_vertices > 1:
+        ones = set()
+        for s, _, others in f.leafy_flips:
+            assert ones.isdisjoint(others), (f, s)
+            ones.add(s)
+        if max(map(len, f.components), default=0) <= 9:
             memo = {}
             recursive_count(VarietyInstance(f, cm, F), memo)
-            assert (canonical_form(f, norm.coeffs.values), q) in memo
+            for comp in f.components:
+                if len(comp) > 1:
+                    key = canonical_form(f.induced(comp), norm.coeffs.values)
+                    assert (key, F.q) in memo
+
+
+def test_leafy_flips_read_the_leafy_tiling():
+    # one statement of the leafy rule: the flips pair each covered vertex
+    # with its partner in leafy_tiling, and cover nothing else
+    for _, f in _leafy_cases():
+        partner = {s: t for s, t, _ in f.leafy_flips}
+        assert len(partner) == len(f.leafy_flips)
+        assert leafy_tiling(f).partner == partner
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_leafy_flips_built_once_per_tree(monkeypatch, q):
+    # the per-count tree table: a tree edge set that the count reaches by
+    # several removals or component splits builds its flips once, and
+    # builds them from the leafy walk, with no tiling and no flip plan
+    built = []
+    build = Forest.leafy_flips.func
+
+    def counted(forest):
+        built.append(forest.edges)
+        return build(forest)
+
+    def refuse(*args):
+        raise AssertionError("the recursion built a tiling or a flip plan")
+
+    prop = cached_property(counted)
+    prop.__set_name__(Forest, "leafy_flips")
+    monkeypatch.setattr(Forest, "leafy_flips", prop)
+    monkeypatch.setattr(forests, "leafy_tiling", refuse)
+    monkeypatch.setattr(forests, "flip_plan", refuse)
+    rng = random.Random(107 + q)
+    F = field_make(q)
+    for _ in range(6):
+        f = random_tree(rng, rng.randint(9, 13))
+        built.clear()
+        recursive_count(VarietyInstance(f, random_coeffs(rng, F, f), F))
+        assert len(set(built)) > 1
+        assert len(built) == len(set(built))
 
 
 def test_long_path_matches_formula():
