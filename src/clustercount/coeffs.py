@@ -126,8 +126,9 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
     times the variety on T - {f, g} with the coefficients at the other
     neighbors of g divided by -alpha_f.
 
-    Returns (g, (T - f, its encodings), (T - {f, g}, its encodings)); the
-    encodings on T - f are those of `coeffs`, before any beta.
+    Returns (g, the encodings on T - f, the encodings on T - {f, g}); those
+    on T - f are the ones of `coeffs`, before any beta.  The subforests
+    themselves are `forest.remove([f])` and `forest.remove([f, g])`.
     NotALeaf when f is not a vertex of degree 1.
     """
     if leaf not in forest.adjacency:
@@ -141,16 +142,13 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
     g = forest.adjacency[leaf][0]
     fld = coeffs.field
 
-    t_primed = forest.remove([leaf])
-    primed = {v: vals[v] for v in t_primed.vertices}
-
-    t_double = forest.remove([leaf, g])
+    primed = {v: vals[v] for v in forest.vertices if v != leaf}
+    double = {v: a for v, a in primed.items() if v != g}
     scale = fld.neg_enc(fld.inv_enc(a_f))  # -1/alpha_f
-    double = {v: vals[v] for v in t_double.vertices}
     for v in forest.adjacency[g]:
         if v != leaf:
             double[v] = fld.mul_enc(double[v], scale)
-    return g, (t_primed, primed), (t_double, double)
+    return g, primed, double
 
 
 # ---------------------------------------------------------------------------

@@ -92,26 +92,9 @@ class Forest:
             tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
-    @cached_property
-    def _removals(self) -> dict[frozenset, "Forest"]:
-        return {}
-
     def remove(self, drop) -> "Forest":
-        """The subforest without the vertices in `drop`, one object per
-        dropped set on this forest: a second `remove` of the same set
-        returns it again, but another forest on the same vertices is
-        another object, with its own caches."""
-        drop = frozenset(drop)
-        sub = self._removals.get(drop)
-        if sub is None:
-            sub = self._removals[drop] = self.induced(
-                v for v in self.vertices if v not in drop)
-        return sub
-
-    @cached_property
-    def component_forests(self) -> tuple["Forest", ...]:
-        """The subforest on each of `components`, in that order."""
-        return tuple(self.induced(comp) for comp in self.components)
+        """The subforest without the vertices in `drop`."""
+        return self.induced(set(self.vertices).difference(drop))
 
     @cached_property
     def _leafy_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -155,22 +138,16 @@ class Forest:
         return tuple(sorted(set(self.vertices)
                             - {s for s, _, _ in self.leafy_flips}))
 
-    @cached_property
-    def _exponents(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
     def flip_exponents(self, g: int) -> tuple[int, ...]:
         """For each of `uncovered`, the power of the coefficient at g in its
         value after `leafy_flips` (a Laurent monomial in the coefficients,
-        as flips only divide), cached per g."""
-        if g not in self._exponents:
-            power = dict.fromkeys(self.vertices, 0) | {g: 1}
-            for s, _, others in self.leafy_flips:
-                for u in others:
-                    power[u] -= power[s]
-                power[s] = 0
-            self._exponents[g] = tuple(map(power.get, self.uncovered))
-        return self._exponents[g]
+        as flips only divide)."""
+        power = dict.fromkeys(self.vertices, 0) | {g: 1}
+        for s, _, others in self.leafy_flips:
+            for u in others:
+                power[u] -= power[s]
+            power[s] = 0
+        return tuple(map(power.get, self.uncovered))
 
     @cached_property
     def _canonical_plan(self):

@@ -13,13 +13,13 @@ when alpha = -1, and the empty forest (one point).
 
 A tree's memo key is the canonical form of its labels after `normalize` on
 its leafy tiling, so children that normalize alike share one entry.  Each
-count keeps a tree table: per edge set of a tree of two or more vertices,
-the first `Forest` the count met on it, and a key cache from the exact
-labels to the key.  Every later visit to those edges, through another
-removal or another component split, uses that tree, so what it caches
-(components, flips, exponents, canonical plan, removals) is built once per
-count.  A key costs one replay of `Forest.leafy_flips` and one lookup, and
-`canonical_form` runs once per distinct normalized tree.
+count's tree table is the one owner of per-tree state: per edge set of two
+or more vertices, the first `Forest` met on it, a key cache from the exact
+labels to the key and, from the first memo miss on, the tree's split (leaf,
+T - f, its flip exponents, the trees of T - {f, g}), each built once per
+count; no subforest outlives the count.  A key costs one replay of
+`Forest.leafy_flips` and one lookup, and `canonical_form` runs once per
+distinct normalized tree.
 
 The flips only divide, so every label is a Laurent monomial in the input
 coefficients: 1 on covered vertices, and on T' = T - f the beta child's
@@ -53,19 +53,43 @@ def _pick_leaf(forest: Forest) -> int:
                key=lambda f: forest.degree(forest.adjacency[f][0]))
 
 
-def _count_keyed(tree: Forest, known: dict, values: dict[int, int],
-                 labels: tuple, field: Field, memo: dict, trees: dict) -> int:
-    """The count of `tree` at `values`, whose normalized labels are `labels`
-    on `tree.uncovered` and 1 elsewhere; `known` is its key cache."""
-    key = known.get(labels)
+class _Tree:
+    """A record of the count's tree table: `forest`, `keys` (the key cache)
+    and `split`, set by `_split_counts` on the first memo miss."""
+
+    def __init__(self, forest: Forest):
+        self.forest, self.keys, self.split = forest, {}, None
+
+
+def _record(trees: dict, tree: Forest) -> _Tree:
+    """The record of `tree`'s edges in the count's table `trees`."""
+    return trees.get(tree.edges) or trees.setdefault(tree.edges, _Tree(tree))
+
+
+def _pieces(forest: Forest, trees: dict) -> tuple:
+    """The trees of `forest`: a single vertex as itself, any other its record."""
+    comps = forest.components
+    return tuple(
+        comp[0] if len(comp) == 1
+        else _record(trees, forest if len(comps) == 1 else forest.induced(comp))
+        for comp in comps)
+
+
+def _count_keyed(rec: _Tree, values: dict[int, int], labels: tuple,
+                 field: Field, memo: dict, trees: dict) -> int:
+    """The count of the tree of `rec` at `values`, whose normalized labels
+    are `labels` on its `uncovered` and 1 elsewhere."""
+    key = rec.keys.get(labels)
     if key is None:
+        tree = rec.forest
         full = dict.fromkeys(tree.vertices, 1)
         full.update(zip(tree.uncovered, labels))
-        key = known[labels] = canonical_form(tree, full), field.q
+        key = rec.keys[labels] = canonical_form(tree, full), field.q
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = sum(_split_counts(tree, values, _pick_leaf(tree),
-                                            field, memo, trees))
+        leaf = _pick_leaf(rec.forest) if rec.split is None else rec.split[0]
+        hit = memo[key] = sum(_split_counts(rec, leaf, values, field, memo,
+                                            trees))
     return hit
 
 
@@ -83,45 +107,45 @@ def _column(field: Field, b: int, e: int) -> list[int]:
     return [field.mul_enc(b, x) for x in betas]
 
 
-def _split_counts(forest: Forest, values: dict[int, int], leaf: int,
+def _split_counts(rec: _Tree, leaf: int, values: dict[int, int],
                   field: Field, memo: dict, trees: dict) -> tuple[int, int]:
-    """(zero part, nonzero part) of the split of the tree `forest` at
-    `leaf`; see `leaf_split_counts`."""
-    g, (t_primed, primed), (t_double, double) = leaf_removal_transforms(
-        forest, CoeffMap(field, values), leaf)
+    """(zero part, nonzero part) of the split of `rec`'s tree at `leaf`,
+    the leaf of `rec.split` once that is built; see `leaf_split_counts`."""
+    g, primed, double = leaf_removal_transforms(
+        rec.forest, CoeffMap(field, values), leaf)
+    if rec.split is None:
+        (rest,) = _pieces(rec.forest.remove([leaf]), trees)
+        exps = None if isinstance(rest, int) else rest.forest.flip_exponents(g)
+        rec.split = leaf, rest, exps, _pieces(rec.forest.remove([leaf, g]),
+                                              trees)
+    _, rest, exps, pieces = rec.split
     q = field.q
-    zero_part = q * _count_forest(t_double, double, field, memo, trees)
-    if t_primed.n_vertices == 1:  # T' = {g}: x_g x'_g = 1 + beta
+    zero_part = q * _product(pieces, double, field, memo, trees)
+    if isinstance(rest, int):  # T' = {g}: x_g x'_g = 1 + beta
         return zero_part, q * q - q + 1
-    t_primed, known = trees.setdefault(t_primed.edges, (t_primed, {}))
     primed[g] = 1  # `primed` is each beta child in turn; nothing keeps it
-    base = _uncovered_labels(t_primed, primed, field)
-    exps = t_primed.flip_exponents(g)
+    base = _uncovered_labels(rest.forest, primed, field)
     if not any(exps):
-        return zero_part, (q - 1) * _count_keyed(t_primed, known, primed, base,
-                                                 field, memo, trees)
+        return zero_part, (q - 1) * _count_keyed(rest, primed, base, field,
+                                                 memo, trees)
     nonzero_part = 0
     columns = [_column(field, b, e) for b, e in zip(base, exps)]
     for beta, labels in enumerate(zip(*columns), 1):
         primed[g] = beta
-        nonzero_part += _count_keyed(t_primed, known, primed, labels, field,
-                                     memo, trees)
+        nonzero_part += _count_keyed(rest, primed, labels, field, memo, trees)
     return zero_part, nonzero_part
 
 
-def _count_forest(forest: Forest, values: dict[int, int], field: Field,
-                  memo: dict, trees: dict) -> int:
-    """The product of the counts of the trees of `forest` at `values`."""
+def _product(pieces: tuple, values: dict[int, int], field: Field,
+             memo: dict, trees: dict) -> int:
+    """The product of the counts of `pieces` (see `_pieces`) at `values`."""
     total, q = 1, field.q
-    one_tree = len(forest.components) == 1
-    for tree in (forest,) if one_tree else forest.component_forests:
-        if tree.n_vertices == 1:
-            minus_one = values[tree.vertices[0]] == field.neg_enc(1)
-            total *= 2 * q - 1 if minus_one else q - 1
+    for piece in pieces:
+        if isinstance(piece, int):
+            total *= 2 * q - 1 if values[piece] == field.neg_enc(1) else q - 1
             continue
-        tree, known = trees.setdefault(tree.edges, (tree, {}))
-        labels = _uncovered_labels(tree, values, field)
-        total *= _count_keyed(tree, known, values, labels, field, memo, trees)
+        labels = _uncovered_labels(piece.forest, values, field)
+        total *= _count_keyed(piece, values, labels, field, memo, trees)
     return total
 
 
@@ -144,11 +168,11 @@ def recursive_count(instance: VarietyInstance,
     memo = {} if memo is None else memo
     before = len(memo)
     trees = {}
-    total = _count_forest(instance.forest, instance.coeffs.values,
-                          instance.field, memo, trees)
+    total = _product(_pieces(instance.forest, trees), instance.coeffs.values,
+                     instance.field, memo, trees)
     return CountReport(total, stats={
         "nodes": len(memo) - before,
-        "canonical_forms": sum(len(known) for _, known in trees.values())})
+        "canonical_forms": sum(len(rec.keys) for rec in trees.values())})
 
 
 def leaf_split_counts(instance: VarietyInstance, leaf: int) -> tuple[int, int]:
@@ -162,7 +186,9 @@ def leaf_split_counts(instance: VarietyInstance, leaf: int) -> tuple[int, int]:
                              instance.field)
     comp = next((c for c in forest.components if leaf in c), ())
     memo, trees = {}, {}
-    zero_part, nonzero_part = _split_counts(forest.induced(comp), values,
-                                            leaf, field, memo, trees)
-    others = _count_forest(forest.remove(comp), values, field, memo, trees)
+    # a fresh record, so that its split is built at `leaf`
+    zero_part, nonzero_part = _split_counts(_Tree(forest.induced(comp)), leaf,
+                                            values, field, memo, trees)
+    others = _product(_pieces(forest.remove(comp), trees), values, field,
+                      memo, trees)
     return zero_part * others, nonzero_part * others

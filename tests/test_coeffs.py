@@ -255,12 +255,11 @@ class TestLeafRemoval:
     def test_a3_transforms(self):
         f = dynkin("A", 3)
         F5 = field_make(5)
-        g, (t1, a1), (t2, a2) = leaf_removal_transforms(
-            f, CoeffMap.ones(F5, f), 1)
+        g, a1, a2 = leaf_removal_transforms(f, CoeffMap.ones(F5, f), 1)
         assert g == 2
-        assert t1.vertices == (2, 3)
+        assert tuple(a1) == f.remove([1]).vertices == (2, 3)
         assert _beta_child(F5, a1, g, 3) == {2: 3, 3: 1}  # alpha_g * beta
-        assert t2.vertices == (3,)
+        assert tuple(a2) == f.remove([1, 2]).vertices == (3,)
         assert a2 == {3: 4}  # -1
 
     def test_d4_fork_leaf(self):
@@ -268,9 +267,10 @@ class TestLeafRemoval:
         F7 = field_make(7)
         a, b = 3, 5
         cm = CoeffMap.make(F7, {1: a, 2: b, 3: 1, 4: 1})
-        g, _, (t2, a2) = leaf_removal_transforms(f, cm, 1)
+        g, _, a2 = leaf_removal_transforms(f, cm, 1)
         assert g == 3
-        assert t2.vertices == (2, 4)
+        t2 = f.remove([1, g])
+        assert tuple(a2) == t2.vertices == (2, 4)
         assert t2.edges == ()
         inv_a = pow(a, -1, 7)
         assert a2[2] == (-b * inv_a) % 7
@@ -304,7 +304,9 @@ class TestLeafRemoval:
             F = field_make(q)
             cm = random_coeffs(rng, F, f)
             leaf = rng.choice([v for v in f.vertices if f.degree(v) == 1])
-            g, (t1, a1), (t2, a2) = leaf_removal_transforms(f, cm, leaf)
+            g, a1, a2 = leaf_removal_transforms(f, cm, leaf)
+            t1, t2 = f.remove([leaf]), f.remove([leaf, g])
+            assert (tuple(a1), tuple(a2)) == (t1.vertices, t2.vertices)
             total = q * _forest_count(t2, a2, F)
             for beta in range(1, q):
                 total += _forest_count(t1, _beta_child(F, a1, g, beta), F)

@@ -152,6 +152,120 @@ def test_leafy_flips_built_once_per_tree(monkeypatch, q):
         assert len(built) == len(set(built))
 
 
+def _split_cases(q):
+    """E8 with all ones at q = 13, else six random trees of 9 to 14
+    vertices with random coefficients over F_q."""
+    F = field_make(q)
+    if q == 13:
+        f = dynkin("E", 8)
+        return [VarietyInstance(f, CoeffMap.ones(F, f), F)]
+    rng = random.Random(113 + q)
+    trees = [random_tree(rng, rng.randint(9, 14)) for _ in range(6)]
+    return [VarietyInstance(f, random_coeffs(rng, F, f), F) for f in trees]
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 13))
+def test_each_tree_split_once(monkeypatch, q):
+    # the count's tree table keeps each tree's split: one leaf pick per
+    # distinct tree that the count splits, however many memo misses it has
+    picked, split = [], []
+    pick, transforms = recursion._pick_leaf, recursion.leaf_removal_transforms
+
+    def counted_pick(forest):
+        picked.append(forest.edges)
+        return pick(forest)
+
+    def counted_transforms(forest, coeffs, leaf):
+        split.append(forest.edges)
+        return transforms(forest, coeffs, leaf)
+
+    monkeypatch.setattr(recursion, "_pick_leaf", counted_pick)
+    monkeypatch.setattr(recursion, "leaf_removal_transforms",
+                        counted_transforms)
+    misses = distinct = 0
+    for inst in _split_cases(q):
+        picked.clear()
+        split.clear()
+        recursive_count(inst)
+        assert sorted(picked) == sorted(set(split))
+        misses, distinct = misses + len(split), distinct + len(set(split))
+    # over F_2 every label is 1, so a tree misses the memo at most once;
+    # over larger fields some tree misses it more than once
+    assert misses > distinct or q == 2
+
+
+def _forests_reached(forest):
+    """Every `Forest` that the instance dict of `forest` reaches through
+    dicts, lists, tuples and the forests it finds."""
+    found, stack, seen = [], list(vars(forest).values()), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Forest):
+            found.append(obj)
+            stack.extend(vars(obj).values())
+        elif isinstance(obj, dict):
+            stack += [*obj, *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+    return found
+
+
+def test_count_leaves_no_subforest_on_the_input():
+    # the subforests of a count live in its tree table, which the count
+    # drops when it returns; the input forest keeps only its own structure
+    rng = random.Random(5)
+    F = field_make(3)
+    tree = random_tree(rng, 14)
+    cases = [VarietyInstance(tree, random_coeffs(rng, F, tree), F)]
+    a, b = random_tree(rng, 8), random_tree(rng, 7, base=9)
+    forest = Forest.make(a.vertices + b.vertices + (20,), a.edges + b.edges)
+    cases.append(VarietyInstance(forest, random_coeffs(rng, F, forest), F))
+    e8 = dynkin("E", 8)
+    cases.append(VarietyInstance(e8, CoeffMap.ones(field_make(13), e8),
+                                 field_make(13)))
+    for inst in cases:
+        recursive_count(inst)
+        assert _forests_reached(inst.forest) == [], inst.forest
+
+
+def test_benchmark_counters_match_stats(monkeypatch):
+    # the benchmark reads `nodes` as calls of leaf_removal_transforms and
+    # keys as calls of canonical_form under recursive_count: with a fresh
+    # memo they are the stats; again on the same memo, no split and one key
+    # per tree of two or more vertices
+    calls = dict.fromkeys(("leaf_removal_transforms", "canonical_form"), 0)
+    for name in calls:
+        def counted(*args, _orig=getattr(recursion, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(recursion, name, counted)
+    rng = random.Random(127)
+    cases = [normal_form_instance(field_from_order(q), t, rank, params)
+             for (t, rank, q, params), _ in PINNED_DYNKIN_STATS]
+    for q in (3, 4, 5, 7):
+        F = field_from_order(q)
+        tree = random_tree(rng, rng.randint(6, 14))
+        cases.append(VarietyInstance(tree, random_coeffs(rng, F, tree), F))
+        a, b = random_tree(rng, 6), random_tree(rng, 5, base=7)
+        forest = Forest.make(a.vertices + b.vertices + (13,),
+                             a.edges + b.edges)
+        cases.append(VarietyInstance(forest, random_coeffs(rng, F, forest),
+                                     F))
+    for inst in cases:
+        trees = sum(len(c) > 1 for c in inst.forest.components)
+        memo = {}
+        for again in (False, True):
+            calls.update(dict.fromkeys(calls, 0))
+            stats = recursive_count(inst, memo).stats
+            assert (stats["nodes"], stats["canonical_forms"]) == (
+                calls["leaf_removal_transforms"], calls["canonical_form"])
+            if again:
+                assert stats == {"nodes": 0, "canonical_forms": trees}
+
+
 def test_long_path_matches_formula():
     # a long path over F_3, all ones: its keys are rooted at the centres,
     # not at all 150 vertices, so this takes well under a second
@@ -212,7 +326,7 @@ def test_split_at_absent_vertex_rejected(monkeypatch):
     # checked before the other trees are counted
     def no_count(*args):
         raise AssertionError("counted the other trees")
-    monkeypatch.setattr(recursion, "_count_forest", no_count)
+    monkeypatch.setattr(recursion, "_product", no_count)
     F = field_make(5)
     f = Forest.make([1, 2, 3, 4, 5], [(1, 2), (4, 5)])
     for v in (9, 3):
