@@ -127,14 +127,15 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
     neighbors of g divided by -alpha_f.
 
     Returns (g, the encodings on T - f, the encodings on T - {f, g}); those
-    on T - f are the ones of `coeffs`, before any beta.  The subforests
-    themselves are `forest.remove([f])` and `forest.remove([f, g])`.
+    on T - f are the ones of `coeffs`, before any beta.  Only `vertices`
+    and `adjacency` are read from `forest`, so a recursion record will do.
     NotALeaf when f is not a vertex of degree 1.
     """
     if leaf not in forest.adjacency:
         raise NotALeaf(f"vertex {leaf} is not in the forest")
-    if forest.degree(leaf) != 1:
-        raise NotALeaf(f"vertex {leaf} has degree {forest.degree(leaf)}")
+    degree = len(forest.adjacency[leaf])
+    if degree != 1:
+        raise NotALeaf(f"vertex {leaf} has degree {degree}")
     vals = coeffs.values
     a_f = vals[leaf]
     if a_f == 0:

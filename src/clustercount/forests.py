@@ -71,15 +71,12 @@ class Forest:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) == 1)
-
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         seen, comps = set(), []
         for v in self.vertices:
             if v not in seen:
-                top_down, _ = hang(self, (v,))
+                top_down, _ = hang(self.adjacency, (v,))
                 seen.update(top_down)
                 comps.append(tuple(sorted(top_down)))
         return tuple(comps)
@@ -97,86 +94,57 @@ class Forest:
         return self.induced(set(self.vertices).difference(drop))
 
     @cached_property
-    def _leafy_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The dominoes (v, c) of the leafy tiling, parent first, listed top
-        down: each component is hung from its largest vertex, and each
-        vertex that its parent did not take takes its largest child c."""
-        pairs = []
-        for comp in self.components:
-            top_down, parent = hang(self, comp[-1:])
-            taken = set()
-            for v in top_down:
-                children = [u for u in self.adjacency[v] if u != parent[v]]
-                if v not in taken and children:
-                    pairs.append((v, children[-1]))
-                    taken.add(children[-1])
-        return tuple(pairs)
-
-    @cached_property
-    def leafy_flips(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """The flips that `normalize` makes on `leafy_tiling(self)`, ready
-        to replay on any coefficients: each child over its parent, bottom
-        up, then each parent over its child, top down.
-
-        A child's flip divides its parent's parent and its untaken
-        siblings, none of them a child flipped before it; a parent's flip
-        divides its child's children, which nothing has taken and whose own
-        flips come later.  So no flip divides a vertex that an earlier one
-        set to 1, which is `flip_plan`'s constraint, and the replay gives
-        `normalize`'s values (see `coeffs`) without its colouring or sort.
-        """
-        adj = self.adjacency
-        pairs = self._leafy_pairs
-        return tuple(
-            [(c, v, tuple(u for u in adj[v] if u != c))
-             for v, c in reversed(pairs)]
-            + [(v, c, tuple(u for u in adj[c] if u != v)) for v, c in pairs])
-
-    @cached_property
-    def uncovered(self) -> tuple[int, ...]:
-        """The vertices that no flip of `leafy_flips` sets to 1."""
-        return tuple(sorted(set(self.vertices)
-                            - {s for s, _, _ in self.leafy_flips}))
-
-    def flip_exponents(self, g: int) -> tuple[int, ...]:
-        """For each of `uncovered`, the power of the coefficient at g in its
-        value after `leafy_flips` (a Laurent monomial in the coefficients,
-        as flips only divide)."""
-        power = dict.fromkeys(self.vertices, 0) | {g: 1}
-        for s, _, others in self.leafy_flips:
-            for u in others:
-                power[u] -= power[s]
-            power[s] = 0
-        return tuple(map(power.get, self.uncovered))
-
-    @cached_property
     def _canonical_plan(self):
-        """Per component: its one or two centres, and every vertex with its
-        children, listed children first, in the tree hung from the centres
-        (see `hang`)."""
-        plan = []
-        for comp in self.components:
-            roots = _centres(self, comp)
-            top_down, parent = hang(self, roots)
-            plan.append((roots, tuple(
-                (v, tuple(u for u in self.adjacency[v] if u != parent[v]))
-                for v in reversed(top_down))))
-        return tuple(plan)
+        """`centred_plan` of each component."""
+        adj = self.adjacency
+        return tuple(centred_plan(adj, hang(adj, comp[:1])[0][-1])
+                     for comp in self.components)
 
 
-def hang(forest: Forest, roots) -> tuple[list[int], dict[int, int]]:
-    """The tree of `forest` that holds `roots`, hung from them: its vertices
-    with every parent before its children, and each vertex's parent.  The
-    roots are one vertex, its own parent, or two adjacent vertices, each the
-    other's parent, so neither is the other's child."""
+def hang(adjacency, roots) -> tuple[list[int], dict[int, int]]:
+    """The tree of `adjacency` that holds `roots`, hung from them: its
+    vertices with every parent before its children, and each vertex's
+    parent.  The roots are one vertex, its own parent, or two adjacent
+    vertices, each the other's parent, so neither is the other's child."""
     parent = {roots[0]: roots[-1], roots[-1]: roots[0]}
     top_down = list(roots)
     for v in top_down:
-        for u in forest.adjacency[v]:
+        for u in adjacency[v]:
             if u not in parent:
                 parent[u] = v
                 top_down.append(u)
     return top_down, parent
+
+
+def leafy_pairs(adjacency, root) -> tuple[list[tuple[int, int]], int]:
+    """The leafy rule on the tree of `adjacency` hung from `root`, its
+    largest vertex: each vertex that its parent did not take takes its
+    largest child c.  The dominoes (v, c), parent first, listed top down,
+    and the walk's last vertex, an end of a longest path."""
+    top_down, parent = hang(adjacency, (root,))
+    pairs, taken = [], set()
+    for v in top_down:
+        children = [u for u in adjacency[v] if u != parent[v]]
+        if v not in taken and children:
+            pairs.append((v, children[-1]))
+            taken.add(children[-1])
+    return pairs, top_down[-1]
+
+
+def centred_plan(adjacency, end):
+    """The centre rooting of the tree of `adjacency` that holds `end`, an
+    end of a longest path: its one or two centres, the middle of the path
+    from `end` to the last vertex reached from it, and every vertex with
+    its children, listed children first, in the tree hung from them."""
+    top_down, parent = hang(adjacency, (end,))
+    path = [top_down[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    roots = tuple(sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1]))
+    top_down, parent = hang(adjacency, roots)
+    return roots, tuple([
+        (v, tuple([u for u in adjacency[v] if u != parent[v]]))
+        for v in reversed(top_down)])
 
 
 def _closing_edge(edges) -> int | None:
@@ -198,18 +166,6 @@ def _closing_edge(edges) -> int | None:
             return i
         parent[ru] = rv
     return None
-
-
-def _centres(forest: Forest, comp: tuple[int, ...]) -> tuple[int, ...]:
-    """The one or two centres of a tree: the middle of a longest path, which
-    runs from the last vertex reached from any vertex to the last vertex
-    reached from that one."""
-    end = hang(forest, comp[:1])[0][-1]
-    top_down, parent = hang(forest, (end,))
-    path = [top_down[-1]]
-    while path[-1] != end:
-        path.append(parent[path[-1]])
-    return tuple(sorted(path[(len(path) - 1) // 2:len(path) // 2 + 1]))
 
 
 @dataclass(frozen=True)
@@ -310,7 +266,7 @@ def bipartite_color(forest: Forest) -> dict[int, str]:
     """Proper 2-coloring; the smallest vertex of each component is white."""
     color: dict[int, str] = {}
     for comp in forest.components:
-        top_down, parent = hang(forest, comp[:1])
+        top_down, parent = hang(forest.adjacency, comp[:1])
         color[comp[0]] = WHITE
         for v in top_down[1:]:
             color[v] = BLACK if color[parent[v]] == WHITE else WHITE
@@ -320,11 +276,14 @@ def bipartite_color(forest: Forest) -> dict[int, str]:
 def leafy_tiling(forest: Forest) -> DominoTiling:
     """A deterministic partial tiling whose uncovered vertices are all leaves.
 
-    Its dominoes are `Forest._leafy_pairs`: each vertex that its parent did
-    not take takes its largest child, so any vertex left uncovered has no
-    children at all, i.e. is a leaf (or an isolated vertex).
+    Its dominoes are `leafy_pairs` on each component: each vertex that its
+    parent did not take takes its largest child, so any vertex left
+    uncovered has no children at all, i.e. is a leaf (or an isolated
+    vertex).
     """
-    return DominoTiling.make(forest._leafy_pairs)
+    return DominoTiling.make(
+        pair for comp in forest.components
+        for pair in leafy_pairs(forest.adjacency, comp[-1])[0])
 
 
 def flip_plan(forest: Forest, tiling: DominoTiling
@@ -381,8 +340,10 @@ def canonical_form(forest: Forest, labels: dict[int, object] | None = None) -> s
     tree's centres to centres, so each component is encoded rooted at its
     centre, or as the sorted pair of its two halves rooted at either end of
     its central edge; component strings are sorted.  The rooting is a plan
-    cached on the forest, so a call is one bottom-up pass that sorts each
-    vertex's child strings, instead of one pass per root (O(n^2) in all).
+    cached on the forest (`centred_plan` per component; the recursion's
+    tree records carry the same plan), so a call is one bottom-up pass that
+    sorts each vertex's child strings, instead of one pass per root (O(n^2)
+    in all).
     """
     labels = labels or {}
     comps = []

@@ -1,6 +1,5 @@
 import itertools
 import random
-from functools import cached_property
 
 import pytest
 
@@ -13,7 +12,8 @@ from clustercount.coeffs import apply_flips
 from clustercount.errors import NotALeaf, ZeroCoefficient
 from clustercount.forests import dynkin_tiling, normal_form_slots
 from clustercount.formulas import formula_count
-from clustercount.recursion import _column, leaf_split_counts, recursive_count
+from clustercount.recursion import (_column, _pick_leaf, leaf_split_counts,
+                                    recursive_count)
 
 from helpers import (random_coeffs, random_tree, reference_recursion, relabel,
                      spider)
@@ -89,19 +89,26 @@ def _leafy_cases():
                              [e for e in tree.edges if rng.random() < 0.8])
 
 
+def _records(forest):
+    """The recursion's record of each tree of `forest` with two or more
+    vertices, built from its adjacency as a count builds it."""
+    return [recursion._Tree(comp, forest.adjacency)
+            for comp in forest.components if len(comp) > 1]
+
+
 def test_memo_key_replays_normalize():
-    # the forest's cached flips give what normalize gives on its leafy
-    # tiling, so each tree's memo key is the canonical form of the
-    # normalized map on it; and they keep flip_plan's constraint, so the
-    # order is a valid one
+    # the records' flips give what normalize gives on the leafy tiling, so
+    # each tree's memo key is the canonical form of the normalized map on
+    # it; and they keep flip_plan's constraint, so the order is a valid one
     rng = random.Random(68)
     for F, f in _leafy_cases():
         cm = random_coeffs(rng, F, f)
         norm = normalize(f, leafy_tiling(f), cm)
-        labels = apply_flips(F, cm.values, f.leafy_flips)
+        flips = [flip for rec in _records(f) for flip in rec.flips]
+        labels = apply_flips(F, cm.values, flips)
         assert labels == norm.coeffs.values
         ones = set()
-        for s, _, others in f.leafy_flips:
+        for s, _, others in flips:
             assert ones.isdisjoint(others), (f, s)
             ones.add(s)
         if max(map(len, f.components), default=0) <= 9:
@@ -117,29 +124,65 @@ def test_leafy_flips_read_the_leafy_tiling():
     # one statement of the leafy rule: the flips pair each covered vertex
     # with its partner in leafy_tiling, and cover nothing else
     for _, f in _leafy_cases():
-        partner = {s: t for s, t, _ in f.leafy_flips}
-        assert len(partner) == len(f.leafy_flips)
+        flips = [flip for rec in _records(f) for flip in rec.flips]
+        partner = {s: t for s, t, _ in flips}
+        assert len(partner) == len(flips)
         assert leafy_tiling(f).partner == partner
+
+
+def test_records_match_forests(monkeypatch):
+    # every record that a count builds agrees with the Forest on its
+    # vertices: adjacency, leafy tiling, canonical form, leaf pick, and the
+    # flip exponents, read off normalize with 2 at g and 1 elsewhere
+    built = []
+
+    class Recorded(recursion._Tree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(recursion, "_Tree", Recorded)
+    rng = random.Random(131)
+    G = field_make(1009)
+    for F, f in _leafy_cases():
+        built.clear()
+        recursive_count(VarietyInstance(f, random_coeffs(rng, F, f), F))
+        for rec in built:
+            sub = f.induced(rec.vertices)
+            assert rec.adjacency == sub.adjacency
+            tiling = leafy_tiling(sub)
+            assert {s: t for s, t, _ in rec.flips} == tiling.partner
+            assert rec.uncovered == tuple(v for v in sub.vertices
+                                          if v not in tiling.covered)
+            labels = {v: rng.choice((1, 2)) for v in rec.vertices}
+            assert canonical_form(rec, labels) == canonical_form(sub, labels)
+            leaf = _pick_leaf(sub)
+            assert _pick_leaf(rec) == leaf
+            assert rec.split is None or rec.split[0] == leaf
+            plan = forests.flip_plan(sub, tiling)
+            for g in rec.vertices:
+                ones = dict.fromkeys(sub.vertices, 1) | {g: 2}
+                normal = apply_flips(G, ones, plan)
+                assert [normal[v] for v in rec.uncovered] == [
+                    G.pow_enc(2, e) for e in rec.flip_exponents(g)], (rec, g)
 
 
 @pytest.mark.parametrize("q", (2, 3, 5))
 def test_leafy_flips_built_once_per_tree(monkeypatch, q):
-    # the per-count tree table: a tree edge set that the count reaches by
-    # several removals or component splits builds its flips once, and
-    # builds them from the leafy walk, with no tiling and no flip plan
+    # the per-count tree table: a tree that the count reaches by several
+    # removals or component splits builds its flips once, and builds them
+    # from the leafy walk, with no tiling and no flip plan
     built = []
-    build = Forest.leafy_flips.func
+    walk = recursion.leafy_pairs
 
-    def counted(forest):
-        built.append(forest.edges)
-        return build(forest)
+    def counted(adjacency, root):
+        built.append(tuple(adjacency))
+        return walk(adjacency, root)
 
     def refuse(*args):
         raise AssertionError("the recursion built a tiling or a flip plan")
 
-    prop = cached_property(counted)
-    prop.__set_name__(Forest, "leafy_flips")
-    monkeypatch.setattr(Forest, "leafy_flips", prop)
+    monkeypatch.setattr(recursion, "leafy_pairs", counted)
     monkeypatch.setattr(forests, "leafy_tiling", refuse)
     monkeypatch.setattr(forests, "flip_plan", refuse)
     rng = random.Random(107 + q)
@@ -171,13 +214,13 @@ def test_each_tree_split_once(monkeypatch, q):
     picked, split = [], []
     pick, transforms = recursion._pick_leaf, recursion.leaf_removal_transforms
 
-    def counted_pick(forest):
-        picked.append(forest.edges)
-        return pick(forest)
+    def counted_pick(tree):
+        picked.append(tree.vertices)
+        return pick(tree)
 
-    def counted_transforms(forest, coeffs, leaf):
-        split.append(forest.edges)
-        return transforms(forest, coeffs, leaf)
+    def counted_transforms(tree, coeffs, leaf):
+        split.append(tree.vertices)
+        return transforms(tree, coeffs, leaf)
 
     monkeypatch.setattr(recursion, "_pick_leaf", counted_pick)
     monkeypatch.setattr(recursion, "leaf_removal_transforms",
@@ -213,9 +256,9 @@ def _forests_reached(forest):
     return found
 
 
-def test_count_leaves_no_subforest_on_the_input():
-    # the subforests of a count live in its tree table, which the count
-    # drops when it returns; the input forest keeps only its own structure
+def _count_cases():
+    """Random trees and three-tree forests over F_3, and E8 with all ones
+    at q = 13."""
     rng = random.Random(5)
     F = field_make(3)
     tree = random_tree(rng, 14)
@@ -226,9 +269,58 @@ def test_count_leaves_no_subforest_on_the_input():
     e8 = dynkin("E", 8)
     cases.append(VarietyInstance(e8, CoeffMap.ones(field_make(13), e8),
                                  field_make(13)))
-    for inst in cases:
+    for n in (12, 16):
+        tree = random_tree(rng, n)
+        cases.append(VarietyInstance(tree, random_coeffs(rng, F, tree), F))
+        a, b, c = (random_tree(rng, 5), random_tree(rng, 6, base=6),
+                   random_tree(rng, 4, base=12))
+        forest = Forest.make(a.vertices + b.vertices + c.vertices,
+                             a.edges + b.edges + c.edges)
+        cases.append(VarietyInstance(forest, random_coeffs(rng, F, forest),
+                                     F))
+    return cases
+
+
+def test_count_leaves_no_subforest_on_the_input():
+    # the subforests of a count live in its tree table, which the count
+    # drops when it returns; the input forest keeps only its own structure
+    for inst in _count_cases():
         recursive_count(inst)
         assert _forests_reached(inst.forest) == [], inst.forest
+
+
+def test_count_builds_no_forest_and_walks_each_tree_three_times(monkeypatch):
+    # the records are built from adjacency lists: a count constructs no
+    # Forest beyond its input, and walks each distinct tree at most three
+    # times (the leafy walk, then two for the centres and the plan)
+    walks, built = [], []
+    hang = forests.hang
+
+    def counted(adjacency, roots):
+        walks.append(roots)
+        return hang(adjacency, roots)
+
+    class Recorded(recursion._Tree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.vertices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count built a Forest")
+
+    cases = _count_cases()
+    for inst in cases:  # the input's own structure
+        inst.forest.components
+    monkeypatch.setattr(forests, "hang", counted)
+    monkeypatch.setattr(recursion, "_Tree", Recorded)
+    for name in ("make", "induced", "__init__"):
+        monkeypatch.setattr(Forest, name, refuse)
+    for inst in cases:
+        walks.clear()
+        built.clear()
+        recursive_count(inst)
+        assert len(set(built)) == len(built) > 1
+        assert len(walks) <= 3 * len(built), inst.forest
 
 
 def test_benchmark_counters_match_stats(monkeypatch):
@@ -428,16 +520,17 @@ def test_beta_children_labels_are_monomials_in_beta():
         F = field_from_order(q)
         tree = random_tree(rng, rng.randint(2, 8 if q < 7 else 6))
         cm = random_coeffs(rng, F, tree)
-        for f in tree.leaves():
+        for f in [v for v in tree.vertices if tree.degree(v) == 1]:
             g = tree.adjacency[f][0]
-            rest = tree.remove([f])
-            covered = leafy_tiling(rest).covered
+            rest = recursion._Tree(
+                tuple(v for v in tree.vertices if v != f), tree.adjacency)
+            covered = leafy_tiling(tree.remove([f])).covered
             assert set(rest.uncovered) == set(rest.vertices) - set(covered)
             primed = {v: cm.values[v] for v in rest.vertices}
-            base = apply_flips(F, primed | {g: 1}, rest.leafy_flips)
+            base = apply_flips(F, primed | {g: 1}, rest.flips)
             exps = rest.flip_exponents(g)
             for beta in range(1, q):
-                labels = apply_flips(F, primed | {g: beta}, rest.leafy_flips)
+                labels = apply_flips(F, primed | {g: beta}, rest.flips)
                 for v, e in zip(rest.uncovered, exps):
                     assert labels[v] == F.mul_enc(base[v], F.pow_enc(beta, e))
                 assert all(labels[v] == 1 for v in covered)
