@@ -6,35 +6,46 @@ contributes a factor 1 if x_t != 0, q if x_t == 0 and r_t == 0, and kills
 the assignment otherwise, where r_t = 1 + alpha_t * prod(neighbors).
 
 `count_block` splits the n digits into a prefix, the first n - k vertices,
-and a suffix, the last k, with B = q^k <= `block`.  The suffix layout, the
-digit rows of all B suffix assignments and their zero counts, depends on
-q and k only: `_layout` builds it once and keeps the last `LAYOUTS` of
-them, read-only.  Digits and products are held in the dtype of the
-field's tables, the narrowest unsigned one that holds q - 1 (uint8 up to
-q = 256, uint16 above), and a product index is widened to intp before it
-is formed, so that it cannot wrap.  Once per call the kernel forms each
-vertex's product over its suffix neighbours, one flat `take` of the
-product table per neighbour, and the alive mask of the suffix vertices
-whose whole neighbourhood lies in the suffix.  Then the scan walks the
-prefix values one block of B assignments at a time, decoding the prefix
-digits as Python ints.  A prefix vertex with x_t = 0 that no suffix
-neighbour can rescue (r_t != 0 on scalars) kills the whole block, which
-is skipped.  Every other vertex that sees the prefix reads it only
-through c_t = alpha_t * prod(prefix neighbours), one scalar, and ANDs in
-a mask over the suffix: where r_t = 0, or x_t != 0 for a suffix vertex.
-The masks are memoised per (vertex, c_t), at most q per vertex; prefix
-vertices with the same suffix neighbours share theirs, and the root of
-1 + c*y is found once per c in a call.  The live assignments of each
-block are tallied by their number of zero digits with an integer
-`np.bincount`.
+and a suffix, the last k, with B = q^k <= `block`.  The suffix layout
+depends on q and k only.  It orders the B suffix assignments by their
+number z of zero digits, pads each z-group to a multiple of 64 slots, and
+holds the digit rows in that slot order, a map from each slot to its
+assignment index (B at a padding slot, whose digits are all 0), the
+packed mask of the slots that are not padding, and the weight q^z of
+each byte of a 64-slot word of group z.  `_layout` builds a
+layout once and keeps the most recently used ones, read-only, up to
+`LAYOUT_BYTES` in all; every layout at q <= 9 fits at once.  Digits and
+products are held in the dtype of the field's tables, the narrowest
+unsigned one that holds q - 1 (uint8 up to q = 256, uint16 above), and a
+product index is widened to intp before it is formed, so that it cannot
+wrap.  Once per call the kernel forms each vertex's product over its
+suffix neighbours, one flat `take` of the product table per neighbour,
+and `base`, the alive mask of the suffix vertices whose whole
+neighbourhood lies in the suffix, dead on every padding slot.  Then the
+scan walks the prefix values one block of B assignments at a time,
+decoding the prefix digits as Python ints.  A prefix vertex with x_t = 0
+that no suffix neighbour can rescue (r_t != 0 on scalars) kills the
+whole block, which is skipped.  Every other vertex that sees the prefix
+reads it only through c_t = alpha_t * prod(prefix neighbours), one
+scalar, and ANDs in a mask over the suffix: where r_t = 0, or x_t != 0
+for a suffix vertex.  The masks are memoised per (vertex, c_t), at most q
+per vertex; prefix vertices with the same suffix neighbours share
+theirs, and the root of 1 + c*y is found once per c in a call.  Every
+mask is packed 64 slots to a uint64 word.  A live block is the word-wise
+AND of `base` and its masks, and of a mask of the slots in range when
+[lo, hi) ends inside it.  Its tally is one int64 dot of the popcount of
+each byte, read from a 256-entry table, with the byte weights.
 
 Every assignment of every live block is tested and tallied: the scan
 uses no tree decomposition and memoises no tally, so it stays independent
 of the recursion.  A live assignment weighs q^z, z its number of zero
-digits.  A block's tally holds at most B per entry in int64; the tallies
-are combined as sum tally[z] * q^z in Python integers.  So the count is
-exact for every n and q: no assignment index and no machine-word power is
-ever formed, and [lo, hi) may lie anywhere, past 2^63 included.
+digits.  A block's tally is at most the sum of q^z over all B suffix
+assignments, (2q - 1)^k < 2^k * B: at most 2^30 at the default `BLOCK`,
+and below 2^52 for any B < 2^32, so the int64 dot is exact.  The tallies
+are summed per prefix zero count and combined with q^z in Python
+integers.  So the count is exact for every n and q: no assignment index
+and no machine-word power beyond q^k is ever formed, and [lo, hi) may lie
+anywhere, past 2^63 included.
 
 The scalar count in `counting` is its reference; point listing runs on
 that scalar scan only.
@@ -42,22 +53,62 @@ that scalar scan only.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 BLOCK = 1 << 15
-LAYOUTS = 8  # layouts kept; one at block = BLOCK holds <= 16 * BLOCK bytes
+LAYOUT_BYTES = 8 * 16 * BLOCK  # the cached layouts' total size, 4 MiB
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_layouts = {}  # (q, k, dtype) -> layout, least recently used first
 
 
-@lru_cache(maxsize=LAYOUTS)
+def _pack(bits):
+    """A bool array over the slots, 8 slots to a byte in slot order, as
+    uint64 words."""
+    return np.packbits(bits, bitorder="little").view(np.uint64)
+
+
+def _build_layout(q, k, dtype):
+    """The suffix assignments grouped by zero count, each group padded to
+    whole 64-slot words: the digit rows in slot order, the map from slot
+    to assignment index (B at a padding slot, whose digits are all 0),
+    the packed mask of the other slots and the weight q^z of each byte of
+    a packed mask."""
+    B = q**k
+    index = np.arange(B, dtype=np.min_scalar_type(B))
+    zeros = np.zeros(B, dtype=np.uint8)
+    for t in range(k):
+        zeros += index // q**t % q == 0
+    groups, words = [], []
+    for z in range(k + 1):
+        group = index[zeros == z]
+        pad = -len(group) % 64
+        groups += [group, np.full(pad, B, dtype=index.dtype)]
+        words += [q**z] * ((len(group) + pad) // 64)
+    slot = np.concatenate(groups)
+    x = np.empty((k, len(slot)), dtype=dtype)
+    for t in range(k):
+        x[t] = slot // q ** (k - 1 - t) % q
+    weights = np.repeat(np.array(words, dtype=np.int64), 8)
+    layout = x, slot, _pack(slot != B), weights
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def _layout(q, k, dtype):
-    """The digit rows of all q^k suffix assignments and their zero counts,
-    read-only: shared by every scan at this q and k."""
-    x = np.indices((q,) * k, dtype=dtype).reshape(k, q**k)
-    zeros = (x == 0).sum(axis=0, dtype=np.uint8)
-    x.flags.writeable = zeros.flags.writeable = False
-    return x, zeros
+    """The layout at q and k, read-only and shared by every scan there;
+    the least recently used ones are dropped past LAYOUT_BYTES."""
+    key = q, k, dtype
+    layout = _layouts.pop(key, None)
+    if layout is None:
+        layout = _build_layout(q, k, dtype)
+        _layouts[key] = layout
+        held = sum(a.nbytes for lay in _layouts.values() for a in lay)
+        while held > LAYOUT_BYTES:
+            held -= sum(a.nbytes for a in _layouts.pop(next(iter(_layouts))))
+    else:
+        _layouts[key] = layout
+    return layout
 
 
 def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
@@ -69,7 +120,7 @@ def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
     while k < n and q ** (k + 1) <= block:
         k += 1
     s, B = n - k, q**k
-    x, zeros = _layout(q, k, mul.dtype)  # the suffix: vertices s..n-1
+    x, slot, base, weights = _layout(q, k, mul.dtype)  # the suffix: s..n-1
     flat = mul.ravel()
     pre, suf = [], []  # prefix neighbours; prod over suffix ones, or None
     for t in range(n):
@@ -94,15 +145,14 @@ def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
             if c not in roots:
                 roots[c] = int(np.flatnonzero(plus_one[mul[c]] == 0)[0])
             r = suf[t] == roots[c]
-        return r | (x[t - s] != 0) if t >= s else r
+        return _pack(r | (x[t - s] != 0) if t >= s else r)
 
-    base = np.ones(B, dtype=bool)
     for t in range(s, n):
         if not pre[t]:
-            base &= mask(t, alpha[t])
+            base = base & mask(t, alpha[t])
     sees_prefix = [t for t in range(n) if t < s or pre[t]]
     memo = {}
-    tally = np.zeros(n + 1, dtype=np.int64)
+    tally = [0] * (s + 1)  # by the prefix's zero count
     for p in range(lo // B, (hi - 1) // B + 1):
         xs, rem = [0] * s, p
         for t in range(s - 1, -1, -1):
@@ -123,10 +173,12 @@ def count_block(q, mul, plus_one, alpha, nbrs, lo, hi, block=BLOCK) -> int:
                 memo[kc] = mask(t, c)
             masks[kc] = memo[kc]
         else:
-            a, b = max(lo - p * B, 0), min(hi - p * B, B)
-            alive = base[a:b]
+            alive = base
             for m in masks.values():
-                alive = alive & m[a:b]
-            z = xs.count(0)
-            tally[z:z + k + 1] += np.bincount(zeros[a:b][alive], None, k + 1)
-    return sum(int(c) * q**z for z, c in enumerate(tally))
+                alive = alive & m
+            a, b = max(lo - p * B, 0), min(hi - p * B, B)
+            if a or b < B:
+                alive = alive & _pack((slot >= a) & (slot < b))
+            tally[xs.count(0)] += int(np.dot(
+                _POPCOUNT.take(alive.view(np.uint8)), weights))
+    return sum(c * q**z for z, c in enumerate(tally))

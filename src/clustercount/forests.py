@@ -68,9 +68,6 @@ class Forest:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         seen, comps = set(), []
@@ -80,18 +77,6 @@ class Forest:
                 seen.update(top_down)
                 comps.append(tuple(sorted(top_down)))
         return tuple(comps)
-
-    def induced(self, keep) -> "Forest":
-        """The subforest on the vertices in `keep`."""
-        keep = set(keep)
-        return Forest(
-            tuple(v for v in self.vertices if v in keep),
-            tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
-        )
-
-    def remove(self, drop) -> "Forest":
-        """The subforest without the vertices in `drop`."""
-        return self.induced(set(self.vertices).difference(drop))
 
     @cached_property
     def _canonical_plan(self):

@@ -34,6 +34,15 @@ def naive_count(instance: VarietyInstance) -> int:
     return total
 
 
+def without(forest: Forest, drop) -> Forest:
+    """The subforest of `forest` without the vertices in `drop`, built
+    afresh by `Forest.make`."""
+    drop = set(drop)
+    return Forest.make([v for v in forest.vertices if v not in drop],
+                       [e for e in forest.edges
+                        if e[0] not in drop and e[1] not in drop])
+
+
 def reference_recursion(instance: VarietyInstance, memo: dict) -> int:
     """The leaf-removal recursion of `recursive_count` with nothing reused
     but `memo`: every subforest is built afresh by `Forest.make`, and every
@@ -42,11 +51,6 @@ def reference_recursion(instance: VarietyInstance, memo: dict) -> int:
     with the library's keys and counts."""
     fld = instance.field
     q = fld.q
-
-    def without(forest, drop):
-        return Forest.make([v for v in forest.vertices if v not in drop],
-                           [e for e in forest.edges
-                            if e[0] not in drop and e[1] not in drop])
 
     def count_tree(tree, values):
         if tree.n_vertices == 0:

@@ -18,6 +18,11 @@ from helpers import (naive_count, random_coeffs, random_tree,
                      record_satisfies, relabel, spider)
 
 
+def _zero_digits(i, q, n):
+    """The number of zero digits of i written with n base-q digits."""
+    return sum(i // q**t % q == 0 for t in range(n))
+
+
 def _instance(dynkin_type, rank, field, values=None):
     f = dynkin(dynkin_type, rank)
     cm = (CoeffMap.ones(field, f) if values is None
@@ -153,13 +158,65 @@ class TestBruteCount:
         F = field_make(3)
         inst = _instance("A", 4, F)
         tallies = []
-        bincount = np.bincount
-        monkeypatch.setattr(np, "bincount",
-                            lambda *a: tallies.append(a) or bincount(*a))
+        dot = np.dot
+        monkeypatch.setattr(np, "dot",
+                            lambda *a: tallies.append(a) or dot(*a))
         got = _countpy.count_block(3, F.mul_table(), F.plus_one_table(),
                                    *inst.scan_arrays, 0, 81, 3)
         assert got == counting._count_scalar(inst, 0, 81)
         assert 0 < len(tallies) < 27
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257, 1024])
+    def test_layout_groups_suffixes_by_zero_count(self, q):
+        dtype = field_from_order(q).mul_table().dtype
+        k = 0
+        while q**k <= _countpy.BLOCK:
+            B = q**k
+            x, slot, packed, weights = _countpy._layout(q, k, dtype)
+            real = slot != B
+            # the slots hold each suffix assignment once, with its digits;
+            # a padding slot has all digits 0, so only the packed mask of
+            # the real slots, where every scan starts, keeps it dead
+            assert np.array_equal(np.sort(slot[real]), np.arange(B))
+            assert np.array_equal(np.unpackbits(packed.view(np.uint8),
+                                                bitorder="little"), real)
+            for t in range(k):
+                assert np.array_equal(x[t, real],
+                                      slot[real] // q ** (k - 1 - t) % q)
+            assert not x[:, ~real].any()
+            # each 64-slot word holds assignments with one zero count z,
+            # groups ascending, and weighs q^z in each of its 8 bytes
+            zeros = (x == 0).sum(axis=0).reshape(-1, 64)
+            word_z = [int(z[r].max()) for z, r in
+                      zip(zeros, real.reshape(-1, 64))]
+            assert all(np.all(z[r] == wz) for z, r, wz in
+                       zip(zeros, real.reshape(-1, 64), word_z))
+            assert word_z == sorted(word_z)
+            assert weights.tolist() == [q**z for z in word_z
+                                        for _ in range(8)]
+            k += 1
+
+    @pytest.mark.parametrize("q, n", [(2, 18), (3, 11), (4, 9), (5, 8),
+                                      (7, 7), (8, 6), (9, 6)])
+    def test_isolated_special_vertices_count_every_assignment(self, q, n):
+        # with alpha = -1 and no edges every assignment is live, and so
+        # would be every padding slot: n vertices count (2q - 1)^n over
+        # several full BLOCKs, and any range counts q^(zeros) of each index
+        F = field_from_order(q)
+        f = Forest.make(range(1, n + 1), [])
+        cm = CoeffMap.make(F, {v: F.neg_enc(1) for v in f.vertices})
+        inst = VarietyInstance(f, cm, F)
+        assert q**n >= 3 * _countpy.BLOCK
+        assert brute_count(inst).count == (2 * q - 1) ** n
+        rng = random.Random(q)
+        tables = F.mul_table(), F.plus_one_table()
+        B = max(q**k for k in range(n) if q**k <= _countpy.BLOCK)
+        for _ in range(3):  # ranges that cross a block boundary
+            lo = rng.randrange(1, q**n // B) * B - rng.randint(1, 1500)
+            hi = lo + rng.randint(1500, 3000)
+            want = sum(q ** _zero_digits(i, q, n) for i in range(lo, hi))
+            assert want == _countpy.count_block(
+                q, *tables, *inst.scan_arrays, lo, hi)
 
     @pytest.mark.parametrize("q", [16, 17, 31, 251, 256, 257, 1021, 1024])
     def test_kernel_dtype_boundaries(self, q):
@@ -200,17 +257,15 @@ class TestBruteCount:
         assert table() is None
 
     def test_layout_cache_is_read_only_and_bounded(self):
-        x, zeros = _countpy._layout(5, 3, np.dtype(np.uint8))
-        with pytest.raises(ValueError):
-            x[0, 0] = 1
-        with pytest.raises(ValueError):
-            zeros[0] = 1
-        # a scan at every q <= 64 with the largest suffix BLOCK allows:
-        # the cache keeps the last LAYOUTS of them, 16 * BLOCK bytes each
-        # at most
-        _countpy._layout.cache_clear()
+        for a in _countpy._layout(5, 3, np.dtype(np.uint8)):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert _countpy.LAYOUT_BYTES <= 8 * 16 * _countpy.BLOCK
+        # a scan at every q < 200 with the largest suffix BLOCK allows:
+        # the cache keeps the most recent layouts that fit in LAYOUT_BYTES
+        _countpy._layouts.clear()
         keys = []
-        for q in range(2, 65):
+        for q in range(2, 200):
             try:
                 F = field_from_order(q)
             except NonPrime:
@@ -218,13 +273,22 @@ class TestBruteCount:
             k = max(k for k in range(16) if q**k <= _countpy.BLOCK)
             brute_count(_instance("A", k + 1, F))
             keys.append((q, k, F.mul_table().dtype))
-        info = _countpy._layout.cache_info()
-        assert info.currsize == info.maxsize == _countpy.LAYOUTS
-        held = [_countpy._layout(*key) for key in keys[-_countpy.LAYOUTS:]]
-        assert _countpy._layout.cache_info().hits == \
-            info.hits + _countpy.LAYOUTS
-        assert sum(a.nbytes for layout in held for a in layout) <= \
-            _countpy.LAYOUTS * 16 * _countpy.BLOCK
+
+        def size(key):
+            return sum(a.nbytes for a in _countpy._layout(*key))
+
+        held = list(_countpy._layouts)
+        assert held == keys[-len(held):]
+        nbytes = sum(map(size, held))
+        assert nbytes <= _countpy.LAYOUT_BYTES
+        assert nbytes + size(keys[-len(held) - 1]) > _countpy.LAYOUT_BYTES
+        # every layout at q <= 9 is held at once
+        _countpy._layouts.clear()
+        small = [(q, k, np.dtype(np.uint8)) for q in (2, 3, 4, 5, 7, 8, 9)
+                 for k in range(16) if q**k <= _countpy.BLOCK]
+        for key in small:
+            _countpy._layout(*key)
+        assert list(_countpy._layouts) == small
 
     def test_engine_refusals(self):
         inst = _instance("A", 1, field_make(1031))
@@ -272,9 +336,10 @@ class TestBruteCount:
         monkeypatch.setattr(counting, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(counting, "_PARALLEL_THRESHOLD", 1 << 12)
         monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
-        inst = normal_form_instance(field_make(5), "A", 8)
+        inst = normal_form_instance(field_make(5), "A", 6)
+        assert 5**6 >= counting._PARALLEL_THRESHOLD
         assert (brute_count(inst, jobs=1000).count
-                == counting._count_scalar(inst, 0, 5**8))
+                == counting._count_scalar(inst, 0, 5**6))
         assert seen == workers
 
     def test_forest_multiplicativity(self):

@@ -16,7 +16,7 @@ from clustercount.recursion import (_column, _pick_leaf, leaf_split_counts,
                                     recursive_count)
 
 from helpers import (random_coeffs, random_tree, reference_recursion, relabel,
-                     spider)
+                     spider, without)
 
 
 def test_a2_all_ones_q3():
@@ -116,7 +116,9 @@ def test_memo_key_replays_normalize():
             recursive_count(VarietyInstance(f, cm, F), memo)
             for comp in f.components:
                 if len(comp) > 1:
-                    key = canonical_form(f.induced(comp), norm.coeffs.values)
+                    key = canonical_form(
+                        without(f, set(f.vertices) - set(comp)),
+                        norm.coeffs.values)
                     assert (key, F.q) in memo
 
 
@@ -148,7 +150,7 @@ def test_records_match_forests(monkeypatch):
         built.clear()
         recursive_count(VarietyInstance(f, random_coeffs(rng, F, f), F))
         for rec in built:
-            sub = f.induced(rec.vertices)
+            sub = without(f, set(f.vertices) - set(rec.vertices))
             assert rec.adjacency == sub.adjacency
             tiling = leafy_tiling(sub)
             assert {s: t for s, t, _ in rec.flips} == tiling.partner
@@ -313,7 +315,7 @@ def test_count_builds_no_forest_and_walks_each_tree_three_times(monkeypatch):
         inst.forest.components
     monkeypatch.setattr(forests, "hang", counted)
     monkeypatch.setattr(recursion, "_Tree", Recorded)
-    for name in ("make", "induced", "__init__"):
+    for name in ("make", "__init__"):
         monkeypatch.setattr(Forest, name, refuse)
     for inst in cases:
         walks.clear()
@@ -388,7 +390,8 @@ def test_split_terms_match_brute_loci():
         q = rng.choice((2, 3, 5))
         F = field_make(q)
         inst = VarietyInstance(f, random_coeffs(rng, F, f), F)
-        leaf = rng.choice([v for v in f.vertices if f.degree(v) == 1])
+        leaf = rng.choice([v for v in f.vertices
+                           if len(f.adjacency[v]) == 1])
         zero_part, nonzero_part = leaf_split_counts(inst, leaf)
         pts = list(brute_points(inst))
         pos = f.vertices.index(leaf)
@@ -520,11 +523,11 @@ def test_beta_children_labels_are_monomials_in_beta():
         F = field_from_order(q)
         tree = random_tree(rng, rng.randint(2, 8 if q < 7 else 6))
         cm = random_coeffs(rng, F, tree)
-        for f in [v for v in tree.vertices if tree.degree(v) == 1]:
+        for f in [v for v in tree.vertices if len(tree.adjacency[v]) == 1]:
             g = tree.adjacency[f][0]
             rest = recursion._Tree(
                 tuple(v for v in tree.vertices if v != f), tree.adjacency)
-            covered = leafy_tiling(tree.remove([f])).covered
+            covered = leafy_tiling(without(tree, [f])).covered
             assert set(rest.uncovered) == set(rest.vertices) - set(covered)
             primed = {v: cm.values[v] for v in rest.vertices}
             base = apply_flips(F, primed | {g: 1}, rest.flips)
