@@ -18,17 +18,16 @@ from .counting import (CountReport, EXTENSION_AVAILABLE, FibrationReport,
                        VarietyInstance, brute_count, brute_points,
                        check_z_fibration, count_Y, count_Z,
                        normal_form_instance)
-from .forests import (DominoTiling, Forest, bipartite_color, canonical_form,
-                      dynkin, dynkin_tiling, leafy_tiling, normal_form_slots)
+from .forests import (DominoTiling, Forest, canonical_form, dynkin,
+                      dynkin_tiling, leafy_tiling, normal_form_slots)
 from .gf import Field, field_from_order, field_make
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoeffMap", "CountReport", "DominoTiling", "EXTENSION_AVAILABLE",
-    "FibrationReport", "Field", "Forest", "NormalForm",
-    "VarietyInstance",
-    "bipartite_color", "brute_count", "brute_points", "canonical_form",
+    "FibrationReport", "Field", "Forest", "NormalForm", "VarietyInstance",
+    "brute_count", "brute_points", "canonical_form",
     "check_z_fibration", "count_Y", "count_Z", "dynkin", "dynkin_tiling",
     "field_from_order", "field_make", "flip", "leaf_removal_transforms",
     "leafy_tiling", "normal_form_instance", "normal_form_slots", "normalize",

@@ -22,7 +22,7 @@ from functools import cache
 
 from .coeffs import CoeffMap, normalize, read_coeff_file
 from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
-                       normal_form_instance)
+                       normal_form_instance, resolve_budget)
 from .errors import (BudgetExceeded, ClusterCountError, HeldOutMismatch,
                      UnsupportedSize)
 from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
@@ -129,6 +129,7 @@ def _method_report(report, elapsed_ms: float, stats: bool) -> dict:
 def cmd_count(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    resolve_budget(args.budget)  # a bad budget is an error for every method
     field = field_from_order(args.q)
     instance, t, rank = _build_instance(args, field)
     methods = (["brute", "recursion", "formula"] if args.method == "all"

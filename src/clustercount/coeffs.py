@@ -8,6 +8,8 @@ every covered vertex (`normalize`) and never changes the point count.  The
 result depends only on the tiling: a flip changes a vertex only through
 flips that must come before it, and divisions commute, so every order that
 keeps those constraints gives the same values, uncovered vertices included.
+`normalize` and the recursion's memo keys both flip in one such order,
+`forests.hung_flips`.
 """
 
 from __future__ import annotations
@@ -100,13 +102,12 @@ def flip(forest: Forest, coeffs: CoeffMap, s: int, t: int) -> CoeffMap:
 
 def normalize(forest: Forest, tiling: DominoTiling,
               coeffs: CoeffMap) -> NormalForm:
-    """Flip every covered vertex over its domino partner, whites first.
-
-    Within a color the flips follow the schedule that never revisits an
-    already-normalized vertex, so the result is 1 on every covered vertex.
-    Every order that keeps that constraint gives the same values, on the
-    uncovered vertices too; this one is the order the trace records.
-    NotAdjacent when a domino is not an edge of `forest`.
+    """Flip every covered vertex over its domino partner, in the order of
+    `flip_plan`, so the result is 1 on every covered vertex.  Every order
+    that never divides a vertex already set to 1 gives the same values, on
+    the uncovered vertices too; the trace lists the flips (s, partner) in
+    the order they are applied.  NotAdjacent when a domino is not an edge
+    of `forest`.
     """
     plan = flip_plan(forest, tiling)
     for v in tiling.covered:

@@ -52,7 +52,13 @@ _PARALLEL_THRESHOLD = 1 << 28
 _SCALAR_PARALLEL_THRESHOLD = 1 << 18
 
 
-def default_budget() -> int:
+def resolve_budget(budget: int | None) -> int:
+    """`budget`, else CLUSTERCOUNT_BUDGET, else DEFAULT_BUDGET; BadBudget
+    for a value below 1 or a variable that is not an integer."""
+    if budget is not None:
+        if budget < 1:
+            raise BadBudget(f"budget must be at least 1, got {budget}")
+        return budget
     env = os.environ.get("CLUSTERCOUNT_BUDGET")
     if not env:
         return DEFAULT_BUDGET
@@ -117,12 +123,9 @@ class CountReport:
 
 def _check_budget(n: int, q: int, budget: int | None, extra: int = 0) -> None:
     """The budget precondition on the cost model n * q^n elementary steps
-    (at least q^n) plus `extra`: BudgetExceeded above `budget`,
-    default_budget() when None, and BadBudget for a budget below 1."""
-    if budget is None:
-        budget = default_budget()
-    elif budget < 1:
-        raise BadBudget(f"budget must be at least 1, got {budget}")
+    (at least q^n) plus `extra`: BudgetExceeded above
+    `resolve_budget(budget)`."""
+    budget = resolve_budget(budget)
     est = max(1, n) * q**n + extra
     if est > budget:
         raise BudgetExceeded(est, budget)

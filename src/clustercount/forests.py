@@ -1,4 +1,4 @@
-"""Labeled forests, Dynkin diagram constructors, colorings and domino tilings.
+"""Labeled forests, Dynkin diagram constructors, domino tilings and flips.
 
 Vertex labels are any integers, zero and negative ones included; the
 Dynkin constructors label 1..n.
@@ -18,14 +18,10 @@ survives normalization) is exposed by `normal_form_slots`.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadRank, NotAdjacent
-
-WHITE = "W"
-BLACK = "B"
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,28 @@ def leafy_pairs(adjacency, root) -> tuple[list[tuple[int, int]], int]:
             pairs.append((v, children[-1]))
             taken.add(children[-1])
     return pairs, top_down[-1]
+
+
+def hung_flips(adjacency, pairs
+               ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The flips that set both ends of each domino of `pairs` to 1: each
+    child over its parent, bottom up, then each parent over its child, top
+    down.  `pairs` are (parent, child) in a tree of `adjacency` hung from
+    any root, listed top down.  A flip (s, t, others) sets s to 1 and
+    divides the coefficients on `others`, t's other neighbours.
+
+    No flip divides a vertex that an earlier one set to 1, whatever the
+    tiling and the root.  A child's flip divides its grandparent and its
+    siblings; each of those that is covered is a shallower child, flipped
+    later in the bottom-up pass, or a parent, flipped in the second pass.
+    A parent's flip divides its child's children, which can be covered only
+    as deeper parents, flipped later in the top-down pass.  So every
+    covered vertex ends at 1."""
+    return tuple(
+        [(c, v, tuple([u for u in adjacency[v] if u != c]))
+         for v, c in reversed(pairs)]
+        + [(v, c, tuple([u for u in adjacency[c] if u != v]))
+           for v, c in pairs])
 
 
 def centred_plan(adjacency, end):
@@ -244,19 +262,8 @@ def dynkin_tiling(dynkin_type: str, rank: int) -> DominoTiling:
 
 
 # ---------------------------------------------------------------------------
-# colorings and tilings for arbitrary forests
+# tilings and flip plans for arbitrary forests
 # ---------------------------------------------------------------------------
-
-def bipartite_color(forest: Forest) -> dict[int, str]:
-    """Proper 2-coloring; the smallest vertex of each component is white."""
-    color: dict[int, str] = {}
-    for comp in forest.components:
-        top_down, parent = hang(forest.adjacency, comp[:1])
-        color[comp[0]] = WHITE
-        for v in top_down[1:]:
-            color[v] = BLACK if color[parent[v]] == WHITE else WHITE
-    return color
-
 
 def leafy_tiling(forest: Forest) -> DominoTiling:
     """A deterministic partial tiling whose uncovered vertices are all leaves.
@@ -273,43 +280,21 @@ def leafy_tiling(forest: Forest) -> DominoTiling:
 
 def flip_plan(forest: Forest, tiling: DominoTiling
               ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The flips that normalize `tiling`'s covered vertices: triples (s,
-    partner t, the other neighbors of t, whose coefficients the flip
-    divides).  NotAdjacent when a domino is not an edge of `forest`.
-
-    Flipping s over t rescales the coefficients at t's other neighbors, so
-    s2 must be flipped before s whenever s is adjacent to partner(s2).
-    These constraints are acyclic on a forest, and they never join two
-    colors, as the neighbors of t all have the color of s.  Every order that
-    keeps them normalizes to the same coefficients; the plan takes whites
-    first, then the smallest vertex, only so that the printed trace is one
-    fixed order.
-    """
+    """The flips that normalize `tiling`'s covered vertices: `hung_flips`
+    of its dominoes, parent first, in each tree of `forest` hung from its
+    largest vertex, trees in the order of their smallest vertices.  On the
+    leafy tiling these are the recursion's flips.  NotAdjacent when a
+    domino is not an edge of `forest`."""
+    adj = forest.adjacency
     for u, v in tiling.dominoes:
-        if v not in forest.adjacency.get(u, ()):
+        if v not in adj.get(u, ()):
             raise NotAdjacent(f"{u}-{v} is not an edge")
-    color = bipartite_color(forest)
-    partner = tiling.partner
-    others = {s: tuple(u for u in forest.adjacency[t] if u != s)
-              for s, t in partner.items()}
-    after = {s: [u for u in others[s] if u in partner] for s in partner}
-    indeg = dict.fromkeys(partner, 0)
-    for us in after.values():
-        for u in us:
-            indeg[u] += 1
-    ready = [(color[s] != WHITE, s) for s in partner if indeg[s] == 0]
-    heapq.heapify(ready)
-    plan = []
-    while ready:
-        _, s = heapq.heappop(ready)
-        plan.append((s, partner[s], others[s]))
-        for u in after[s]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, (color[u] != WHITE, u))
-    if len(plan) != len(partner):
-        raise AssertionError("cyclic flip constraints on a forest")
-    return tuple(plan)
+    partner, plan = tiling.partner, ()
+    for comp in forest.components:
+        top_down, parent = hang(adj, comp[-1:])
+        plan += hung_flips(adj, [(v, partner[v]) for v in top_down
+                                 if v in partner and parent[partner[v]] == v])
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ are a single vertex, where x x' = 1 + alpha has q - 1 points, or 2q - 1
 when alpha = -1, and the empty forest (one point).
 
 A tree's memo key is the canonical form of its labels after `normalize` on
-its leafy tiling, so children that normalize alike share one entry.  Every
-tree that the recursion meets is an induced subtree of the input, so each
-count's tree table, the one owner of per-tree state, keys a tree's record
-by its sorted vertices and builds it from adjacency lists alone, in three
-walks (see `_Tree`); no record outlives the count.  From the first memo
-miss on, the record also holds the tree's split (leaf, T - f, its flip
-exponents, the trees of T - {f, g}).  A key costs one replay of the
-record's flips and one lookup in its key cache, and `canonical_form` runs
-once per distinct normalized tree.
+its leafy tiling, so children that normalize alike share one entry; the
+record replays the same flips in the same order, as both take them from
+`forests.hung_flips`.  Every tree that the recursion meets is an induced
+subtree of the input, so each count's tree table, the one owner of per-tree
+state, keys a tree's record by its sorted vertices and builds it from
+adjacency lists alone, in three walks (see `_Tree`); no record outlives the
+count.  From the first memo miss on, the record also holds the tree's split
+(leaf, T - f, its flip exponents, the trees of T - {f, g}).  A key costs one
+replay of the record's flips and one lookup in its key cache, and
+`canonical_form` runs once per distinct normalized tree.
 
 The flips only divide, so every label is a Laurent monomial in the input
 coefficients: 1 on covered vertices, and on T' = T - f the beta child's
@@ -42,7 +43,7 @@ from __future__ import annotations
 from .coeffs import CoeffMap, apply_flips, leaf_removal_transforms
 from .counting import CountReport, VarietyInstance
 from .errors import NotALeaf, ZeroCoefficient
-from .forests import canonical_form, centred_plan, leafy_pairs
+from .forests import canonical_form, centred_plan, hung_flips, leafy_pairs
 from .gf import Field
 
 
@@ -58,11 +59,12 @@ def _pick_leaf(tree) -> int:
 
 class _Tree:
     """A record of the count's tree table: the tree on the sorted `vertices`
-    of a forest of `adjacency`, with its own `adjacency`; from a walk from
-    its largest vertex, the `flips` that `normalize` makes on its leafy
-    tiling and the vertices none sets to 1 (`uncovered`); from two walks
-    that start where that one ends, the `_canonical_plan`; the key cache
-    `keys`; and the `split` that `_split_counts` sets on the first miss."""
+    of a forest of `adjacency`, with its own `adjacency`; from a walk from its
+    largest vertex, the `flips` that `normalize` makes on its leafy tiling
+    (`hung_flips` of its `leafy_pairs`, as in `flip_plan`) and the vertices
+    none sets to 1 (`uncovered`); from two walks that start where that one
+    ends, the `_canonical_plan`; the key cache `keys`; and the `split` that
+    `_split_counts` sets on the first miss."""
 
     def __init__(self, vertices: tuple[int, ...], adjacency):
         self.vertices = vertices
@@ -71,16 +73,7 @@ class _Tree:
             v: tuple([u for u in adjacency[v] if u in inside])
             for v in vertices}
         pairs, end = leafy_pairs(adj, vertices[-1])
-        # Each child over its parent, bottom up, then each parent over its
-        # child, top down: a child's flip divides its parent's parent and
-        # its untaken siblings, a parent's its child's children, none of
-        # them set to 1 before.  That is `flip_plan`'s constraint, so the
-        # replay gives `normalize`'s values (see `coeffs`).
-        self.flips = tuple(
-            [(c, v, tuple([u for u in adj[v] if u != c]))
-             for v, c in reversed(pairs)]
-            + [(v, c, tuple([u for u in adj[c] if u != v]))
-               for v, c in pairs])
+        self.flips = hung_flips(adj, pairs)
         covered = {v for pair in pairs for v in pair}
         self.uncovered = tuple([v for v in vertices if v not in covered])
         self._canonical_plan = (centred_plan(adj, end),)

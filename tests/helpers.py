@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from clustercount import (CoeffMap, Forest, VarietyInstance, canonical_form,
-                          leafy_tiling, normalize)
+from clustercount import (CoeffMap, DominoTiling, Forest, VarietyInstance,
+                          canonical_form, leafy_tiling, normalize)
 from clustercount.recursion import _pick_leaf
 
 
@@ -132,6 +132,19 @@ def spider(legs) -> Forest:
 def random_coeffs(rng: random.Random, field, forest) -> CoeffMap:
     return CoeffMap.make(
         field, {v: rng.randint(1, field.q - 1) for v in forest.vertices})
+
+
+def random_partial_tiling(rng: random.Random, forest) -> DominoTiling:
+    """A random matching: the edges in random order, each kept when both
+    ends are still free and a coin says so."""
+    edges = list(forest.edges)
+    rng.shuffle(edges)
+    used, dominoes = set(), []
+    for u, v in edges:
+        if u not in used and v not in used and rng.random() < 0.7:
+            dominoes.append((u, v))
+            used.update((u, v))
+    return DominoTiling.make(dominoes)
 
 
 def _det(matrix: list[list[int]], field) -> int:

@@ -224,29 +224,36 @@ class TestCount:
         assert err.startswith("error: ")
 
     def test_bad_budget_variable(self, capsys, monkeypatch):
+        # also for the methods that the budget does not bound
         monkeypatch.setenv("CLUSTERCOUNT_BUDGET", "abc")
-        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
-                                 "2", "--q", "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "CLUSTERCOUNT_BUDGET" in err
+        for method in ("all", "recursion", "formula"):
+            code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
+                                     "2", "--q", "3", "--method", method)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert "CLUSTERCOUNT_BUDGET" in err
 
     @pytest.mark.parametrize("value", ["0", "-1", "-1000000000"])
     def test_budget_below_one_is_a_usage_error(self, capsys, monkeypatch,
                                                 value):
-        # not "unlimited", not "over budget": exit 2 naming the value
-        for command in ("count", "singular"):
-            code, out, err = run_cli(capsys, command, "--type", "A", "--rank",
-                                     "2", "--q", "3", "--budget", value)
+        # not "unlimited", not "over budget": exit 2 naming the value, also
+        # for the methods that the budget does not bound
+        variety = ["--type", "A", "--rank", "2", "--q", "3"]
+        for command in (["count"], ["singular"],
+                        ["count", "--method", "recursion"],
+                        ["count", "--method", "formula"]):
+            code, out, err = run_cli(capsys, *command, *variety,
+                                     "--budget", value)
             assert (code, out) == (2, "")
             assert err == f"error: budget must be at least 1, got {value}\n"
         monkeypatch.setenv("CLUSTERCOUNT_BUDGET", value)
-        code, out, err = run_cli(capsys, "count", "--type", "A", "--rank",
-                                 "2", "--q", "3", "--method", "brute")
-        assert (code, out) == (2, "")
-        assert err == ("error: CLUSTERCOUNT_BUDGET must be at least 1, "
-                       f"got {value}\n")
+        for method in ("brute", "recursion", "formula"):
+            code, out, err = run_cli(capsys, "count", *variety,
+                                     "--method", method)
+            assert (code, out) == (2, "")
+            assert err == ("error: CLUSTERCOUNT_BUDGET must be at least 1, "
+                           f"got {value}\n")
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "--type", "A", "--rank", "8",
@@ -384,6 +391,30 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["count"] == "4"
 
 
+def _readme_cli_commands():
+    """The argument lists of the commands in README's CLI example block,
+    the first fenced block under its "## CLI" heading."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("clustercount ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # every example exits 0 and prints one JSON document, run where the
+    # tree.txt that the block names exists
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "count", "normalize", "singular", "interpolate", "check"}
+    (tmp_path / "tree.txt").write_text("1 2\n2 3\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        json.loads(out)  # raises on a second document
+
+
 @pytest.mark.parametrize("q", [str(10**18 + 9), str(2**31 + 11)])
 def test_order_above_bound_exits_at_once(q):
     # rejected before q is factored, so a large prime does not hang
@@ -431,11 +462,11 @@ GOLDEN = [
     ("count --type A --rank 4 --q 5 --method formula --stats", 0,
      "97f432ad8dce221b"),
     ("normalize --type A --rank 5 --alpha 2,3,4,5,6 --q 7", 0,
-     "1d0418b6cc384eac"),
+     "013ae062afd91df8"),
     ("normalize --type D --rank 7 --alpha 2,3,4,2,3,4,2 --q 5", 0,
      "bc6ca1c926631ac9"),
     ("normalize --type E --rank 8 --alpha 2,3,4,5,6,7,8,9 --q 11", 0,
-     "28c5b7b07bd47642"),
+     "8959f366cb8ede7d"),
     ("singular --type A --rank 3 --alpha 1 --q 7", 0, "a0434231a289c3a3"),
     ("singular --type A --rank 5 --alpha -1 --q 5", 0, "eb4e2a8715291911"),
     ("singular --type D --rank 4 --q 4", 0, "e7ae16632e1824fb"),
@@ -450,7 +481,7 @@ GOLDEN = [
      "5421711340d8b718"),
     ("count --type A --rank 2 --q 256 --method brute", 0, "c0f95e3fd9debb0b"),
     ("normalize --type E --rank 8 --alpha 2,3,4,5,6,7,8,9 --q 16", 0,
-     "e599215f3229a2de"),
+     "a986032f23ea8c05"),
     ("singular --type A --rank 5 --alpha 2 --q 9", 0, "28b6ae0277799054"),
     # the scan kernel around its dtype boundaries: q = 17 and 31 are the
     # first primes whose suffix product indices pass 255, q = 257 and 1024

@@ -8,10 +8,11 @@ from clustercount import (CoeffMap, Forest, VarietyInstance, brute_count,
                           normalize)
 from clustercount.coeffs import apply_flips, parse_coeff_text
 from clustercount.errors import NotAdjacent, NotALeaf, ZeroCoefficient
-from clustercount.forests import DominoTiling, bipartite_color, flip_plan
+from clustercount.forests import DominoTiling, flip_plan
 from clustercount.gf import field_make
 
-from helpers import random_coeffs, random_tree, without
+from helpers import (random_coeffs, random_partial_tiling, random_tree,
+                     without)
 
 
 class TestFlip:
@@ -84,38 +85,26 @@ class TestFlip:
             assert brute_count(VarietyInstance(f, flipped, F)).count == base
 
 
-def _valid_first_flips(forest, tiling, coloring, coeffs):
-    """Brute-force oracle: try every ordering of the white covered vertices;
-    collect the first vertices of orderings that end with every covered
-    white vertex at coefficient 1."""
-    whites = [v for v in tiling.covered if coloring[v] == "W"]
+def _valid_first_flips(forest, tiling, coeffs):
+    """Brute-force oracle: try every order of the covered vertices; collect
+    the first vertices of orders that end with every covered vertex at
+    coefficient 1."""
+    covered = list(tiling.covered)
     good_starts = set()
-    for order in itertools.permutations(whites):
-        cur = coeffs
-        for s in order:
-            cur = flip(forest, cur, s, tiling.partner[s])
-        if all(cur.enc(v) == 1 for v in whites):
+    for order in itertools.permutations(covered):
+        cur = apply_flips(coeffs.field, coeffs.values, [
+            (s, tiling.partner[s], tuple(
+                u for u in forest.adjacency[tiling.partner[s]] if u != s))
+            for s in order])
+        if all(cur[v] == 1 for v in covered):
             good_starts.add(order[0])
     return good_starts
 
 
-def _random_partial_tiling(rng, forest):
-    """A random matching: the edges in random order, each kept when both
-    ends are still free and a coin says so."""
-    edges = list(forest.edges)
-    rng.shuffle(edges)
-    used, dominoes = set(), []
-    for u, v in edges:
-        if u not in used and v not in used and rng.random() < 0.7:
-            dominoes.append((u, v))
-            used.update((u, v))
-    return DominoTiling.make(dominoes)
-
-
 def _random_flip_order(rng, forest, tiling):
-    """The covered vertices in a random order, both colors mixed, that
-    flips s2 before s whenever the flip of s2 divides the coefficient at s
-    (s is a neighbor of partner(s2))."""
+    """The covered vertices in a random order that flips s2 before s
+    whenever the flip of s2 divides the coefficient at s (s is a neighbor
+    of partner(s2))."""
     divides = {s2: {s for s in forest.adjacency[tiling.partner[s2]]
                     if s != s2 and s in tiling.covered}
                for s2 in tiling.covered}
@@ -162,16 +151,16 @@ class TestNormalize:
         assert norm.trace == ()
 
     def test_schedule_matches_order_oracle(self):
-        # The flip plan's first (white) flip must be one the exhaustive
-        # order oracle accepts.  For the 4-path with dominoes {1-2, 3-4}
-        # the only valid start is vertex 1.
+        # The flip plan's first flip must be one the exhaustive order
+        # oracle accepts.  For the 4-path with dominoes {1-2, 3-4} the
+        # flip at 1 divides 3 and the flip at 4 divides 2, so the valid
+        # starts are 1 and 4.
         f = dynkin("A", 4)
         F5 = field_make(5)
         t = DominoTiling.make([(1, 2), (3, 4)])
-        col = bipartite_color(f)
         cm = CoeffMap.make(F5, {1: 2, 2: 3, 3: 4, 4: 2})
-        starts = _valid_first_flips(f, t, col, cm)
-        assert starts == {1}
+        starts = _valid_first_flips(f, t, cm)
+        assert starts == {1, 4}
         assert flip_plan(f, t)[0][0] in starts
 
     def test_schedule_oracle_random(self):
@@ -182,9 +171,8 @@ class TestNormalize:
             t = leafy_tiling(f)
             if not t.covered:
                 continue
-            col = bipartite_color(f)
             cm = random_coeffs(rng, F5, f)
-            starts = _valid_first_flips(f, t, col, cm)
+            starts = _valid_first_flips(f, t, cm)
             if starts:  # generic coefficients: schedule must start correctly
                 assert flip_plan(f, t)[0][0] in starts
 
@@ -217,14 +205,14 @@ class TestNormalize:
 
     def test_result_independent_of_flip_order(self):
         # every constraint-respecting order gives normalize's coefficients,
-        # on the uncovered vertices too: the fixed schedule only fixes the
+        # on the uncovered vertices too: flip_plan's order only fixes the
         # printed trace
         rng = random.Random(47)
         for i in range(200):
             f = random_tree(rng, rng.randint(2, 12))
             F = field_make((5, 7, 11, 13)[i % 4])
             cm = random_coeffs(rng, F, f)
-            t = leafy_tiling(f) if i % 2 else _random_partial_tiling(rng, f)
+            t = leafy_tiling(f) if i % 2 else random_partial_tiling(rng, f)
             expected = normalize(f, t, cm).coeffs.values
             for _ in range(10):
                 flips = []

@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from clustercount import (DominoTiling, Forest, bipartite_color,
-                          canonical_form, dynkin, dynkin_tiling, leafy_tiling,
-                          normal_form_slots)
+from clustercount import (DominoTiling, Forest, canonical_form, dynkin,
+                          dynkin_tiling, leafy_tiling, normal_form_slots)
 from clustercount.errors import BadRank
-from clustercount.forests import (BLACK, WHITE, check_rank, flip_plan,
-                                  parse_tree_text)
+from clustercount.forests import check_rank, flip_plan, parse_tree_text
 
-from helpers import random_tree, relabel
+from helpers import random_partial_tiling, random_tree, relabel
 
 
 def _random_forest(rng, n):
@@ -83,40 +81,6 @@ class TestDynkin:
         assert normal_form_slots("E", 6) == ()
         assert normal_form_slots("E", 7) == (7,)
         assert normal_form_slots("E", 8) == ()
-
-
-class TestColoring:
-    def test_path(self):
-        f = dynkin("A", 3)
-        assert bipartite_color(f) == {1: WHITE, 2: BLACK, 3: WHITE}
-
-    def test_single_vertex(self):
-        f = dynkin("A", 1)
-        assert bipartite_color(f) == {1: WHITE}
-
-    def test_d4(self):
-        f = dynkin("D", 4)
-        assert bipartite_color(f) == {
-            1: WHITE, 2: WHITE, 3: BLACK, 4: WHITE}
-
-    def test_proper_on_all_labeled_trees_up_to_6(self):
-        # every labeled tree on n <= 6 vertices via its attachment sequence
-        import itertools
-        for n in range(1, 7):
-            for seq in itertools.product(*(range(1, i) for i in range(2, n + 1))):
-                f = Forest.make(range(1, n + 1),
-                                [(seq[i - 2], i) for i in range(2, n + 1)])
-                col = bipartite_color(f)
-                for u, v in f.edges:
-                    assert col[u] != col[v]
-
-    def test_proper_on_random_larger_trees(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            f = random_tree(rng, rng.randint(7, 9))
-            col = bipartite_color(f)
-            for u, v in f.edges:
-                assert col[u] != col[v]
 
 
 class TestLeafyTiling:
@@ -195,21 +159,43 @@ class TestLeafyTiling:
 
 class TestFlipPlan:
     def test_a2_full(self):
-        # vertex 1 is white, so its flip over 2 comes first
+        # hung from 2, the child 1 flips over its parent first
         f = dynkin("A", 2)
         t = DominoTiling.make([(1, 2)])
-        assert flip_plan(f, t)[0] == (1, 2, ())
+        assert flip_plan(f, t) == ((1, 2, ()), (2, 1, ()))
 
     def test_a4_schedule_start(self):
-        # Only the order 1-then-3 leaves both covered whites at coefficient
-        # 1 (flipping 3 first lets the later flip at 1 rescale vertex 3), so
-        # the schedule must start at 1; see test_coeffs for the order oracle.
+        # Flipping 3 before 1 lets the flip at 1 rescale vertex 3, and
+        # flipping 2 before 4 lets the flip at 4 rescale vertex 2; hung
+        # from 4, the child 1 flips first.  See test_coeffs for the order
+        # oracle.
         f = dynkin("A", 4)
         t = DominoTiling.make([(1, 2), (3, 4)])
         assert flip_plan(f, t)[0][0] == 1
 
     def test_empty_tiling_gives_no_flips(self):
         assert flip_plan(dynkin("A", 2), DominoTiling.make([])) == ()
+
+    def test_random_tilings_flip_each_covered_vertex_once(self):
+        # any tiling on forests of several trees: each covered vertex is
+        # flipped once, over its partner, and no flip divides a vertex
+        # that an earlier flip set to 1
+        rng = random.Random(71)
+        several = 0
+        for _ in range(400):
+            f = _random_forest(rng, rng.randint(2, 16))
+            several += len(f.components) > 1
+            t = random_partial_tiling(rng, f)
+            plan = flip_plan(f, t)
+            assert sorted(s for s, _, _ in plan) == sorted(t.covered)
+            ones = set()
+            for s, partner, others in plan:
+                assert partner == t.partner[s]
+                assert others == tuple(u for u in f.adjacency[partner]
+                                       if u != s)
+                assert ones.isdisjoint(others), (f, t, s)
+                ones.add(s)
+        assert several > 250
 
 
 class TestCanonicalForm:
@@ -295,7 +281,8 @@ class TestCanonicalForm:
 
 
 # Canonical strings (all labels 1) and flip plans: a change to any of them
-# changes the recursion's memo keys or the trace that `normalize` prints.
+# changes the recursion's memo keys, or the flips that its records replay
+# to build them (the leafy plans), or the trace that `normalize` prints.
 PINNED_FORESTS = {
     "R1": ((3, 4, 5, 9, 13, 15, 16, 19, 21),
            ((3, 5), (4, 5), (4, 21), (5, 13), (5, 19), (9, 15), (9, 16),
@@ -313,59 +300,59 @@ PINNED = {
     "A2": ("(1|)(1|)",
            ((1, 2, ()), (2, 1, ()))),
     "A3": ("(1|(1|)(1|))",
-           ((3, 2, (1,)), (2, 3, ()))),
+           ((2, 3, ()), (3, 2, (1,)))),
     "A4": ("(1|(1|))(1|(1|))",
            ((1, 2, (3,)), (3, 4, ()), (4, 3, (2,)), (2, 1, ()))),
     "A5": ("(1|(1|(1|))(1|(1|)))",
-           ((5, 4, (3,)), (3, 2, (1,)), (2, 3, (4,)), (4, 5, ()))),
+           ((2, 3, (4,)), (4, 5, ()), (5, 4, (3,)), (3, 2, (1,)))),
     "A6": ("(1|(1|(1|)))(1|(1|(1|)))",
            ((1, 2, (3,)), (3, 4, (5,)), (5, 6, ()), (6, 5, (4,)),
             (4, 3, (2,)), (2, 1, ()))),
     "A7": ("(1|(1|(1|(1|)))(1|(1|(1|))))",
-           ((7, 6, (5,)), (5, 4, (3,)), (3, 2, (1,)), (2, 3, (4,)),
-            (4, 5, (6,)), (6, 7, ()))),
+           ((2, 3, (4,)), (4, 5, (6,)), (6, 7, ()), (7, 6, (5,)),
+            (5, 4, (3,)), (3, 2, (1,)))),
     "A8": ("(1|(1|(1|(1|))))(1|(1|(1|(1|))))",
            ((1, 2, (3,)), (3, 4, (5,)), (5, 6, (7,)), (7, 8, ()),
             (8, 7, (6,)), (6, 5, (4,)), (4, 3, (2,)), (2, 1, ()))),
     "D4": ("(1|(1|)(1|)(1|))",
-           ((4, 3, (1, 2)), (3, 4, ()))),
+           ((3, 4, ()), (4, 3, (1, 2)))),
     "D5": ("(1|(1|)(1|))(1|(1|))",
            ((2, 3, (1, 4)), (4, 5, ()), (5, 4, (3,)), (3, 2, ()))),
     "D6": ("(1|(1|(1|)(1|))(1|(1|)))",
-           ((6, 5, (4,)), (4, 3, (1, 2)), (3, 4, (5,)), (5, 6, ()))),
+           ((3, 4, (5,)), (5, 6, ()), (6, 5, (4,)), (4, 3, (1, 2)))),
     "D7": ("(1|(1|(1|)(1|)))(1|(1|(1|)))",
            ((2, 3, (1, 4)), (4, 5, (6,)), (6, 7, ()), (7, 6, (5,)),
             (5, 4, (3,)), (3, 2, ()))),
     "D8": ("(1|(1|(1|(1|)(1|)))(1|(1|(1|))))",
-           ((8, 7, (6,)), (6, 5, (4,)), (4, 3, (1, 2)), (3, 4, (5,)),
-            (5, 6, (7,)), (7, 8, ()))),
+           ((3, 4, (5,)), (5, 6, (7,)), (7, 8, ()), (8, 7, (6,)),
+            (6, 5, (4,)), (4, 3, (1, 2)))),
     "E6": ("(1|(1|(1|))(1|(1|))(1|))",
-           ((6, 4, (1,)), (1, 3, (5,)), (3, 1, (2, 4)), (4, 6, ()))),
+           ((3, 1, (2, 4)), (4, 6, ()), (6, 4, (1,)), (1, 3, (5,)))),
     "E7": ("(1|(1|(1|))(1|))(1|(1|(1|)))",
            ((5, 3, (1,)), (1, 4, (6,)), (6, 7, ()), (7, 6, (4,)),
             (4, 1, (2, 3)), (3, 5, ()))),
     "E8": ("(1|(1|(1|(1|))(1|))(1|(1|(1|))))",
-           ((8, 7, (6,)), (6, 4, (1,)), (1, 3, (5,)), (3, 1, (2, 4)),
-            (4, 6, (7,)), (7, 8, ()))),
+           ((3, 1, (2, 4)), (4, 6, (7,)), (7, 8, ()), (8, 7, (6,)),
+            (6, 4, (1,)), (1, 3, (5,)))),
     "R1": ("(1|(1|(1|)(1|)))(1|(1|(1|))(1|)(1|))",
            ((16, 9, (15, 19)), (19, 5, (3, 4, 13)), (4, 21, ()),
             (21, 4, (5,)), (5, 19, (9,)), (9, 16, ()))),
     "R2": ("(1|(1|(1|(1|)(1|))(1|))(1|(1|)))(1|(1|(1|(1|))))",
-           ((9, 26, (24,)), (32, 33, (22, 24)), (22, 20, ()), (24, 34, (4,)),
-            (4, 6, (27,)), (6, 4, (34,)), (20, 22, (10, 33)),
-            (34, 24, (26, 33)), (26, 9, ()), (33, 32, ()))),
+           ((20, 22, (10, 33)), (32, 33, (22, 24)), (9, 26, (24,)),
+            (6, 4, (34,)), (24, 34, (4,)), (34, 24, (26, 33)), (4, 6, (27,)),
+            (26, 9, ()), (33, 32, ()), (22, 20, ()))),
     "R3": ("(1|(1|(1|(1|))(1|(1|))(1|))(1|(1|(1|)))(1|)(1|));(1|)",
-           ((1, 5, (24,)), (36, 9, (24, 27, 35)), (24, 38, ()), (27, 18, ()),
-            (35, 16, ()), (16, 35, (9,)), (18, 27, (9,)),
-            (38, 24, (5, 9, 31)), (5, 1, (30,)), (9, 36, ()))),
+           ((16, 35, (9,)), (18, 27, (9,)), (36, 9, (24, 27, 35)),
+            (1, 5, (24,)), (24, 38, ()), (38, 24, (5, 9, 31)), (5, 1, (30,)),
+            (9, 36, ()), (27, 18, ()), (35, 16, ()))),
 }
 DYNKIN_FLIPS = {
-    "E6": ((5, 3, (1,)), (6, 4, (1,)), (1, 2, ()), (2, 1, (3, 4)),
-           (3, 5, ()), (4, 6, ())),
-    "E7": ((5, 3, (1,)), (6, 4, (1,)), (1, 2, ()), (2, 1, (3, 4)),
-           (3, 5, ()), (4, 6, (7,))),
-    "E8": ((5, 3, (1,)), (8, 7, (6,)), (6, 4, (1,)), (1, 2, ()),
-           (2, 1, (3, 4)), (3, 5, ()), (4, 6, (7,)), (7, 8, ())),
+    "E6": ((5, 3, (1,)), (2, 1, (3, 4)), (4, 6, ()), (6, 4, (1,)),
+           (1, 2, ()), (3, 5, ())),
+    "E7": ((5, 3, (1,)), (2, 1, (3, 4)), (4, 6, (7,)), (6, 4, (1,)),
+           (1, 2, ()), (3, 5, ())),
+    "E8": ((5, 3, (1,)), (2, 1, (3, 4)), (4, 6, (7,)), (7, 8, ()),
+           (8, 7, (6,)), (6, 4, (1,)), (1, 2, ()), (3, 5, ())),
 }
 
 

@@ -99,7 +99,7 @@ def _records(forest):
 def test_memo_key_replays_normalize():
     # the records' flips give what normalize gives on the leafy tiling, so
     # each tree's memo key is the canonical form of the normalized map on
-    # it; and they keep flip_plan's constraint, so the order is a valid one
+    # it; and no flip divides a vertex that an earlier one set to 1
     rng = random.Random(68)
     for F, f in _leafy_cases():
         cm = random_coeffs(rng, F, f)
@@ -124,12 +124,16 @@ def test_memo_key_replays_normalize():
 
 def test_leafy_flips_read_the_leafy_tiling():
     # one statement of the leafy rule: the flips pair each covered vertex
-    # with its partner in leafy_tiling, and cover nothing else
+    # with its partner in leafy_tiling, and cover nothing else; and one
+    # schedule: normalize's plan on that tiling is the records' flips, in
+    # their order
     for _, f in _leafy_cases():
         flips = [flip for rec in _records(f) for flip in rec.flips]
         partner = {s: t for s, t, _ in flips}
         assert len(partner) == len(flips)
-        assert leafy_tiling(f).partner == partner
+        tiling = leafy_tiling(f)
+        assert tiling.partner == partner
+        assert forests.flip_plan(f, tiling) == tuple(flips)
 
 
 def test_records_match_forests(monkeypatch):
