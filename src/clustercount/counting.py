@@ -192,8 +192,9 @@ def _count_range(instance: VarietyInstance, engine: str, lo: int, hi: int) -> in
     if engine == "scalar":
         return _count_scalar(instance, lo, hi)
     fld = instance.field
-    return _countpy.count_block(fld.q, fld.mul_table(), fld.plus_one_table(),
-                                *instance.scan_arrays, lo, hi)
+    return _countpy.count_block(fld.q, fld.mul_table(), fld.scaled_mul_table(),
+                                fld.neg_inv_table(), *instance.scan_arrays,
+                                lo, hi)
 
 
 def brute_count(instance: VarietyInstance, *, budget: int | None = None,

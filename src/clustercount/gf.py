@@ -96,7 +96,8 @@ class Field:
     """A finite field F_q together with exact arithmetic on encodings."""
 
     __slots__ = ("p", "k", "q", "modulus", "_logs", "_mul_table",
-                 "_plus_one_table", "_inv_table")
+                 "_scaled_mul_table", "_plus_one_table", "_inv_table",
+                 "_neg_inv_table")
 
     def __init__(self, p: int, k: int = 1):
         if isinstance(p, int) and p >= MAX_PRIME:
@@ -114,8 +115,10 @@ class Field:
         self.modulus = _smallest_irreducible(p, k)
         self._logs = None
         self._mul_table = None
+        self._scaled_mul_table = None
         self._plus_one_table = None
         self._inv_table = None
+        self._neg_inv_table = None
 
     # -- identity ----------------------------------------------------------
 
@@ -287,6 +290,18 @@ class Field:
                 self._mul_table = tab
         return self._mul_table
 
+    def scaled_mul_table(self):
+        """`mul_table` times q, flat: entry a*q + b is q * (a*b), so that a
+        product read from it plus an encoding b is the index of the next
+        product by b.  Its dtype is the narrowest unsigned one that holds
+        q^2 - 1: uint8 up to q = 16, uint16 up to q = 256, else uint32."""
+        if self._scaled_mul_table is None:
+            q = self.q
+            self._scaled_mul_table = np.multiply(
+                self.mul_table().ravel(), q,
+                dtype=np.min_scalar_type(q * q - 1))
+        return self._scaled_mul_table
+
     def plus_one_table(self):
         """Table mapping encoding of v to encoding of v + 1, in the dtype
         of `mul_table`."""
@@ -300,6 +315,14 @@ class Field:
         if self._inv_table is None:
             self._inv_table = [0] + [self.inv_enc(c) for c in range(1, self.q)]
         return self._inv_table
+
+    def neg_inv_table(self) -> list[int]:
+        """-1/c for each unit c, the root of 1 + c*y; 0 at c = 0, which
+        has none."""
+        if self._neg_inv_table is None:
+            self._neg_inv_table = [0] + [self.neg_enc(c)
+                                         for c in self.inv_table()[1:]]
+        return self._neg_inv_table
 
 
 def field_make(p: int, k: int = 1) -> Field:

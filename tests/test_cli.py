@@ -265,7 +265,7 @@ class TestCount:
     def test_arithmetic_error_exit_code(self, capsys, monkeypatch):
         # a kernel that claims more points than the q^(2n) pairs (x, x')
         monkeypatch.setattr(_countpy, "count_block",
-                            lambda q, mul, plus_one, alpha, *rest:
+                            lambda q, mul, mulq, neg_inv, alpha, *rest:
                             q ** (2 * len(alpha)) + 1)
         code, out, err = run_cli(capsys, "count", "--type", "A", "--rank", "2",
                                  "--q", "3", "--method", "brute")

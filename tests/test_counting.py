@@ -30,6 +30,12 @@ def _instance(dynkin_type, rank, field, values=None):
     return VarietyInstance(f, cm, field)
 
 
+def _tables(field):
+    """The field's lookup tables that `_countpy.count_block` reads."""
+    return (field.mul_table(), field.scaled_mul_table(),
+            field.neg_inv_table())
+
+
 class TestBruteCount:
     def test_a1_generic(self):
         assert brute_count(_instance("A", 1, field_make(5))).count == 4
@@ -78,7 +84,7 @@ class TestBruteCount:
         # K_{1,60} over F_2, center first: on this range the center is 1 and
         # the last 15 leaves read i, each zero leaf weighing 2
         F = field_make(2)
-        tables = F.mul_table(), F.plus_one_table()
+        tables = _tables(F)
         f = spider((1,) * 60)
         alpha, nbrs = VarietyInstance(f, CoeffMap.ones(F, f), F).scan_arrays
         got = _countpy.count_block(2, *tables, alpha, nbrs,
@@ -123,7 +129,7 @@ class TestBruteCount:
             for lo, hi in zip(cuts, cuts[1:]):
                 part = counting._count_scalar(inst, lo, hi)
                 assert part == _countpy.count_block(
-                    F.q, F.mul_table(), F.plus_one_table(),
+                    F.q, *_tables(F),
                     *inst.scan_arrays, lo, hi)
                 parts.append(part)
             assert sum(parts) == whole
@@ -134,23 +140,52 @@ class TestBruteCount:
         # the ranges cross blocks and end inside them
         rng = random.Random(14)
         for _ in range(40):
-            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+            F = field_from_order(rng.choice((2, 3, 4, 5, 7, 8, 9,
+                                             16, 25, 27, 32)))
             q = F.q
             # q^n at most 4096, so that the scalar scan stays quick
-            n = rng.randint(1, {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3}[q])
+            n = rng.randint(1, {2: 12, 3: 7, 4: 6, 5: 5, 7: 4, 8: 4, 9: 3,
+                                16: 3, 25: 2, 27: 2, 32: 2}[q])
             tree = random_tree(rng, n)
             f = Forest.make(tree.vertices,
                             [e for e in tree.edges if rng.random() < 0.75])
             cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices},
                                allow_zero=True)
             inst = VarietyInstance(f, cm, F)
-            tables = F.mul_table(), F.plus_one_table()
+            tables = _tables(F)
             lo = rng.randint(0, q**n)
             hi = rng.randint(lo, q**n)
             want = counting._count_scalar(inst, lo, hi)
             for block in (1, q, q * q, _countpy.BLOCK):
                 assert want == _countpy.count_block(
                     q, *tables, *inst.scan_arrays, lo, hi, block), block
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32])
+    def test_kernel_products_over_many_suffix_neighbours(self, q):
+        # a star with its centre first or last and three or four leaves in
+        # the suffix: the centre's product runs through the scaled table
+        # for each leaf between the first and the last.  A centre first
+        # reads its product only where its digit is 0, where ranges start.
+        rng = random.Random(q)
+        F = field_from_order(q)
+        for leaves in (3, 4):
+            n = leaves + 1
+            for centre in (1, n):
+                f = Forest.make(range(1, n + 1),
+                                [(centre, v) for v in range(1, n + 1)
+                                 if v != centre])
+                values = {v: rng.randrange(q) for v in f.vertices}
+                values[centre] = rng.randrange(1, q)
+                cm = CoeffMap.make(F, values, allow_zero=True)
+                inst = VarietyInstance(f, cm, F)
+                lo = rng.randrange(q ** (n - 1) if centre == 1 else q**n)
+                hi = min(lo + rng.randint(1, 2000), q**n)
+                want = counting._count_scalar(inst, lo, hi)
+                for block in [b for b in (q**3, q**4, _countpy.BLOCK)
+                              if b <= 1 << 16]:
+                    assert want == _countpy.count_block(
+                        q, *_tables(F), *inst.scan_arrays, lo, hi,
+                        block), block
 
     def test_kernel_skips_dead_blocks(self, monkeypatch):
         # A_4 over F_3 in blocks of 3: x_1 = x_2 = 0 gives r_1 = 1 on the
@@ -161,7 +196,7 @@ class TestBruteCount:
         dot = np.dot
         monkeypatch.setattr(np, "dot",
                             lambda *a: tallies.append(a) or dot(*a))
-        got = _countpy.count_block(3, F.mul_table(), F.plus_one_table(),
+        got = _countpy.count_block(3, *_tables(F),
                                    *inst.scan_arrays, 0, 81, 3)
         assert got == counting._count_scalar(inst, 0, 81)
         assert 0 < len(tallies) < 27
@@ -172,7 +207,7 @@ class TestBruteCount:
         k = 0
         while q**k <= _countpy.BLOCK:
             B = q**k
-            x, slot, packed, weights = _countpy._layout(q, k, dtype)
+            x, slot, packed, nonzero, weights = _countpy._layout(q, k, dtype)
             real = slot != B
             # the slots hold each suffix assignment once, with its digits;
             # a padding slot has all digits 0, so only the packed mask of
@@ -183,17 +218,22 @@ class TestBruteCount:
             for t in range(k):
                 assert np.array_equal(x[t, real],
                                       slot[real] // q ** (k - 1 - t) % q)
+                # the packed nonzero row of position t reads x_t != 0
+                bits = np.unpackbits(nonzero[t].view(np.uint8),
+                                     bitorder="little")
+                assert np.array_equal(bits[real], x[t, real] != 0)
+            assert nonzero.shape == (k, len(slot) // 64)
             assert not x[:, ~real].any()
             # each 64-slot word holds assignments with one zero count z,
-            # groups ascending, and weighs q^z in each of its 8 bytes
+            # groups ascending, and weighs q^z
             zeros = (x == 0).sum(axis=0).reshape(-1, 64)
             word_z = [int(z[r].max()) for z, r in
                       zip(zeros, real.reshape(-1, 64))]
             assert all(np.all(z[r] == wz) for z, r, wz in
                        zip(zeros, real.reshape(-1, 64), word_z))
             assert word_z == sorted(word_z)
-            assert weights.tolist() == [q**z for z in word_z
-                                        for _ in range(8)]
+            assert weights.dtype == np.int64
+            assert weights.tolist() == [q**z for z in word_z]
             k += 1
 
     @pytest.mark.parametrize("q, n", [(2, 18), (3, 11), (4, 9), (5, 8),
@@ -209,7 +249,7 @@ class TestBruteCount:
         assert q**n >= 3 * _countpy.BLOCK
         assert brute_count(inst).count == (2 * q - 1) ** n
         rng = random.Random(q)
-        tables = F.mul_table(), F.plus_one_table()
+        tables = _tables(F)
         B = max(q**k for k in range(n) if q**k <= _countpy.BLOCK)
         for _ in range(3):  # ranges that cross a block boundary
             lo = rng.randrange(1, q**n // B) * B - rng.randint(1, 1500)
@@ -227,7 +267,7 @@ class TestBruteCount:
         # keep vertex 1 alive; alpha_1 != 0, every other alpha may be 0.
         rng = random.Random(q)
         F = field_from_order(q)
-        tables = F.mul_table(), F.plus_one_table()
+        tables = _tables(F)
         for i in range(4):
             n = rng.randint(3, 5)
             rest = [(rng.choice([1, n - 1, n, *range(2, v)]), v)
@@ -248,7 +288,7 @@ class TestBruteCount:
     def test_kernel_keeps_no_field_state(self):
         F = field_make(17)
         inst = _instance("A", 3, F)
-        assert _countpy.count_block(17, F.mul_table(), F.plus_one_table(),
+        assert _countpy.count_block(17, *_tables(F),
                                     *inst.scan_arrays, 0, 17**3) == \
             counting._count_scalar(inst, 0, 17**3)
         table = weakref.ref(F.mul_table())

@@ -211,6 +211,20 @@ def test_tables_match_ops():
                 assert mul[a, b] == f.mul_enc(a, b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 256, 257, 1024])
+def test_kernel_derived_tables(q):
+    # the scan kernel's roots -1/c of 1 + c*y, and its product table
+    # scaled by q, flat, in the narrowest dtype that holds q^2 - 1
+    f = field_from_order(q)
+    root = f.neg_inv_table()
+    assert all(f.add_enc(1, f.mul_enc(c, root[c])) == 0 for c in range(1, q))
+    mulq = f.scaled_mul_table()
+    assert np.array_equal(mulq, q * f.mul_table().ravel().astype(np.int64))
+    assert mulq.dtype == (np.uint8 if q <= 16 else np.uint16 if q <= 256
+                          else np.uint32)
+    assert f.scaled_mul_table() is mulq and f.neg_inv_table() is root
+
+
 # -- discrete-log tables of the extension fields --------------------------------
 
 def _pow_digits(f, a, e):
