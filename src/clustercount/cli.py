@@ -23,15 +23,14 @@ from functools import cache
 from .coeffs import CoeffMap, normalize, read_coeff_file
 from .counting import (DEFAULT_BUDGET, VarietyInstance, brute_count,
                        normal_form_instance, resolve_budget)
-from .errors import (BudgetExceeded, ClusterCountError, HeldOutMismatch,
-                     UnsupportedSize)
+from .errors import BudgetExceeded, ClusterCountError, UnsupportedSize
 from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
 from .gf import field_from_order
 from .qpoly import FamilyPolicy, fit_and_verify
 from .recursion import recursive_count
 from .singular import singular_points
-from .suites import run_suite
+from .suites import PAPER_SUITE, run_suite
 
 USAGE_ERROR, MATH_ERROR, BUDGET_ERROR = 2, 1, 3
 
@@ -213,12 +212,7 @@ def cmd_singular(args) -> int:
 
 def cmd_interpolate(args) -> int:
     policy = FamilyPolicy(args.type.upper(), args.rank, args.branch)
-    try:
-        rep = fit_and_verify(policy, degree=args.degree, extra=args.extra)
-    except HeldOutMismatch as exc:
-        _emit({"family": policy.name, "ok": False, "held_out_q": exc.q,
-               "predicted": str(exc.expected), "count": str(exc.actual)})
-        return MATH_ERROR
+    rep = fit_and_verify(policy, degree=args.degree, extra=args.extra)
     _emit({
         "family": policy.name,
         "degree": rep.polynomial.degree,
@@ -226,7 +220,8 @@ def cmd_interpolate(args) -> int:
         "coefficients": rep.polynomial.coefficient_strings(),
         "samples": [list(s) for s in rep.samples],
         "held_out": [list(h) for h in rep.held_out],
-        "residuals": list(rep.residuals),
+        "residuals": [int(r) if r.denominator == 1 else str(r)
+                      for r in rep.residuals],
         "ok": rep.ok,
     })
     return 0 if rep.ok else MATH_ERROR
@@ -314,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run verification batteries")
     p_check.add_argument("--suite", default="paper",
-                         help="paper (everything) or one of: typeA, typeD, "
-                              "typeE, reduction, yz, fibration, smoothness, "
-                              "cohomology, interpolation, primepower")
+                         help="paper (everything) or one of: "
+                              + ", ".join(PAPER_SUITE))
     p_check.set_defaults(fn=cmd_check)
 
     return parser

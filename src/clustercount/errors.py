@@ -68,15 +68,3 @@ class BadParity(ClusterCountError):
 class DuplicateAbscissa(ClusterCountError):
     """Interpolation samples contain a repeated q value."""
 
-
-class HeldOutMismatch(ClusterCountError):
-    """An interpolated polynomial fails on held-out sample points."""
-
-    def __init__(self, q, expected, actual):
-        self.q = q
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"held-out check failed at q={q}: polynomial gives {expected}, "
-            f"count is {actual} (non-polynomial family or mixed branches)"
-        )

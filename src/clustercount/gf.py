@@ -49,22 +49,17 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of num modulo den (den monic), coefficients mod p."""
+    """Remainder of num modulo den (den monic), by long division from the top
+    shift down.  The coefficients of num must already lie in range(p), as
+    both callers' do; the remainder's then do too."""
     num = list(num)
     dd = len(den) - 1
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        lead = num[-1]
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - lead * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    out = num + [0] * (dd - len(num))
-    return tuple(out[:dd])
+    for shift in range(len(num) - 1 - dd, -1, -1):
+        lead = num[shift + dd]
+        if lead:
+            for i, c in enumerate(den):
+                num[shift + i] = (num[shift + i] - lead * c) % p
+    return tuple(num[:dd] + [0] * (dd - len(num)))
 
 
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:

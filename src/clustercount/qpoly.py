@@ -3,10 +3,12 @@
 Counting a fixed family branch at d+1 primes determines a degree-d
 polynomial with rational coefficients; for the families here the result
 must have integer coefficients and must keep predicting counts at held-out
-primes exactly.  A branch policy chooses, per field, parameters that stay
-inside one case of the closed-form branching (e.g. "the special value" is
-the field element (-1)^e, not a fixed integer), since mixing branches
-across primes makes the counts non-polynomial.
+primes exactly.  A fit reports that verdict rather than raising:
+`FitReport.ok` is false when a coefficient is not an integer or a
+held-out residual is nonzero.  A branch policy chooses, per field,
+parameters that stay inside one case of the closed-form branching (e.g.
+"the special value" is the field element (-1)^e, not a fixed integer),
+since mixing branches across primes makes the counts non-polynomial.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import VarietyInstance, _unit_params, normal_form_instance
-from .errors import DuplicateAbscissa, HeldOutMismatch, UnsupportedType
+from .errors import DuplicateAbscissa, UnsupportedType
 from .formulas import branches_for
 from .gf import Field, field_make, is_prime
 from .recursion import recursive_count
@@ -158,11 +160,11 @@ class FitReport:
     polynomial: QPolynomial
     samples: tuple[tuple[int, int], ...]
     held_out: tuple[tuple[int, int], ...]
-    residuals: tuple[int, ...]
+    residuals: tuple[Fraction, ...]  # poly(q) - count, per held-out prime
 
     @property
     def ok(self) -> bool:
-        return all(r == 0 for r in self.residuals)
+        return self.polynomial.is_integral() and not any(self.residuals)
 
 
 def _primes_from(start: int):
@@ -179,11 +181,12 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
     primes.
 
     Counts run at the first degree+1 admissible primes >= 3, then `extra`
-    more; the interpolant must have integer coefficients and zero held-out
-    residuals (a mismatch raises HeldOutMismatch).  Counting is by the
-    leaf-removal recursion, which stays fast at the larger primes, sharing
-    `memo` when given.  A degree below 1 or a negative `extra` raises
-    ValueError.
+    more.  The report carries the exact residual poly(q) - count at each
+    held-out prime, and `ok` holds when the interpolant has integer
+    coefficients and every residual is zero; a failed fit is reported, not
+    raised.  Counting is by the leaf-removal recursion, which stays fast at
+    the larger primes, sharing `memo` when given.  A degree below 1 or a
+    negative `extra` raises ValueError.
     """
     degree = policy.degree_bound if degree is None else degree
     if degree < 1:
@@ -204,13 +207,5 @@ def fit_and_verify(policy: FamilyPolicy, degree: int | None = None, *,
         if len(samples) > degree and len(held) >= extra:
             break
     poly = interpolate_counts(samples)
-    if not poly.is_integral():
-        raise ArithmeticError(
-            f"{policy.name}: interpolated coefficients are not integers: {poly}")
-    residuals = []
-    for q, count in held:
-        predicted = poly(q)
-        residuals.append(int(predicted - count))
-        if predicted != count:
-            raise HeldOutMismatch(q, predicted, count)
-    return FitReport(poly, tuple(samples), tuple(held), tuple(residuals))
+    residuals = tuple(poly(q) - count for q, count in held)
+    return FitReport(poly, tuple(samples), tuple(held), residuals)

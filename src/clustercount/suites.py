@@ -270,8 +270,9 @@ def suite_cohomology() -> SuiteResult:
 
 
 def suite_interpolation() -> SuiteResult:
-    """fit_and_verify reproduces the closed-form polynomials with zero
-    held-out residual at two extra primes."""
+    """fit_and_verify reproduces the closed-form polynomials, with integer
+    coefficients and zero residual at two held-out primes; a failed check's
+    label lists the residuals."""
     targets = [
         (FamilyPolicy("A", 2, "generic"), "q^2 + 1"),
         (FamilyPolicy("A", 3, "generic"), "q^3 - 1"),
@@ -289,9 +290,10 @@ def suite_interpolation() -> SuiteResult:
     def checks():
         for policy, expected in targets:
             rep = fit_and_verify(policy, memo=memo)
-            yield (f"{policy.name}: {rep.polynomial} vs {expected}",
-                   str(rep.polynomial) == expected and rep.ok
-                   and rep.polynomial.is_integral())
+            residuals = ", ".join(map(str, rep.residuals))
+            yield (f"{policy.name}: {rep.polynomial} vs {expected}, "
+                   f"residuals [{residuals}]",
+                   str(rep.polynomial) == expected and rep.ok)
 
     return _battery("interpolation battery", checks())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import clustercount
-from clustercount import _countpy
+from clustercount import _countpy, qpoly
 from clustercount.cli import build_parser, main
+from clustercount.suites import PAPER_SUITE
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +363,61 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "check", "--suite", "nope")
         assert code == 2
 
+    def test_check_help_lists_the_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = text.split("paper (everything) or one of: ", 1)[1]
+        assert listed.split(", ") == list(PAPER_SUITE)
+
+
+class TestFailedFit:
+    """With the recursion one too high at q = 29, each fit that counts there
+    is reported in the usual JSON with exit 1, not raised."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_at_29(self, monkeypatch):
+        real = qpoly.recursive_count
+
+        def lying(instance, memo=None):
+            rep = real(instance, memo)
+            if instance.field.q == 29:
+                return dataclasses.replace(rep, count=rep.count + 1)
+            return rep
+
+        monkeypatch.setattr(qpoly, "recursive_count", lying)
+
+    def test_check_reports_every_battery(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--suite", "paper")
+        assert code == 1 and err == ""
+        results = json.loads(out)
+        assert len(results) == len(PAPER_SUITE)
+        failed = {r["name"]: r["failures"] for r in results if not r["ok"]}
+        assert list(failed) == ["interpolation battery"]
+        labels = failed["interpolation battery"]
+        assert any(f.startswith("E6-generic") and f.endswith("residuals [0, -1]")
+                   for f in labels)
+        assert any(f.startswith("E7-generic") for f in labels)
+
+    def test_wrong_sample_prime(self, capsys):
+        code, out, err = run_cli(capsys, "interpolate", "--type", "E",
+                                 "--rank", "8")
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert 29 in [q for q, _ in payload["samples"]]
+        assert payload["ok"] is False
+        assert payload["residuals"] == ["98/33", "1190/33"]
+
+    def test_wrong_held_out_prime(self, capsys):
+        code, out, err = run_cli(capsys, "interpolate", "--type", "E",
+                                 "--rank", "6")
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["polynomial"] == "q^6 + q^4 + q^3 + q^2 + 1"
+        assert [q for q, _ in payload["held_out"]] == [23, 29]
+        assert payload["residuals"] == [0, -1]
+        assert payload["ok"] is False
+
 
 def test_parser_built_once(capsys):
     # two commands in one process share the parser and both answer right
@@ -413,6 +470,39 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         json.loads(out)  # raises on a second document
+
+
+def _readme_json_blocks():
+    """(command, document) for each ```json block of README, the command
+    being the code span of the heading right above the block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^#+ [^\n]*`([^`\n]+)`\n+```json\n(.*?)\n```",
+                        text, re.M | re.S)
+    assert len(blocks) == text.count("```json")  # every block has its command
+    return [(command, json.loads(doc)) for command, doc in blocks]
+
+
+def _without_elapsed(doc):
+    if isinstance(doc, dict):
+        return {k: _without_elapsed(v) for k, v in doc.items()
+                if k != "elapsed_ms"}
+    if isinstance(doc, list):
+        return [_without_elapsed(v) for v in doc]
+    return doc
+
+
+README_JSON = _readme_json_blocks()
+
+
+@pytest.mark.parametrize("command, documented", README_JSON,
+                         ids=[command for command, _ in README_JSON])
+def test_readme_json_matches_output(capsys, command, documented):
+    # same nested keys in the same order, same values but timings
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    got, want = _without_elapsed(json.loads(out)), _without_elapsed(documented)
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.mark.parametrize("q", [str(10**18 + 9), str(2**31 + 11)])

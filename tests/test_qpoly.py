@@ -5,8 +5,7 @@ import pytest
 
 from clustercount import (brute_count, field_from_order, field_make,
                           normal_form_slots)
-from clustercount.errors import (DuplicateAbscissa, HeldOutMismatch,
-                                 UnsupportedType)
+from clustercount.errors import DuplicateAbscissa, UnsupportedType
 from clustercount.formulas import branches_for, formula_count_params
 from clustercount.qpoly import (FamilyPolicy, QPolynomial, fit_and_verify,
                                 interpolate_counts)
@@ -141,12 +140,29 @@ class TestFitAndVerify:
         assert rep.held_out == () and rep.residuals == ()
 
     def test_mixed_branch_policy_caught(self):
-        # counting a DIFFERENT branch at one held-out prime must raise
+        # counting a DIFFERENT branch at the held-out primes is reported
         class LyingPolicy(FamilyPolicy):
             def instance(self, field):
                 branch = "special" if field.q > 12 else "generic"
                 return FamilyPolicy(self.dynkin_type, self.rank,
                                     branch).instance(field)
 
-        with pytest.raises(HeldOutMismatch):
-            fit_and_verify(LyingPolicy("A", 3, "generic"))
+        rep = fit_and_verify(LyingPolicy("A", 3, "generic"))
+        assert not rep.ok
+        assert str(rep.polynomial) == "q^3 - 1"
+        assert [q for q, _ in rep.held_out] == [13, 17]
+        # q^3 - 1 against the special branch's q^3 + q^2 - 1
+        assert rep.residuals == (-13**2, -17**2)
+
+    def test_wrong_sample_prime_caught(self):
+        # a wrong count at a sample prime bends the fit off the integers
+        class LyingPolicy(FamilyPolicy):
+            def instance(self, field):
+                branch = "special" if field.q == 5 else "generic"
+                return FamilyPolicy(self.dynkin_type, self.rank,
+                                    branch).instance(field)
+
+        rep = fit_and_verify(LyingPolicy("A", 3, "generic"))
+        assert [q for q, _ in rep.samples] == [3, 5, 7, 11]
+        assert not rep.polynomial.is_integral()
+        assert not rep.ok
