@@ -1,7 +1,7 @@
 """Exact F_q point counts for exchange-equation varieties on trees and forests.
 
-A forest T with an invertible coefficient alpha_t per vertex defines the
-affine variety with one equation per vertex:
+A forest T with a coefficient alpha_t per vertex, any field element, zero
+included, defines the affine variety with one equation per vertex:
 
     x_t * x'_t = 1 + alpha_t * prod over neighbors s of x_s
 
@@ -9,7 +9,10 @@ The package counts its points over finite fields three independent ways
 (brute-force enumeration, leaf-removal recursion, closed-form formulas for
 the Dynkin families A/D/E), normalizes coefficients by domino-tiling flips,
 locates singular points, and recovers count polynomials in q by exact
-interpolation.
+interpolation.  Brute force and the singular-point searches take any
+coefficients; the methods that divide by one need it to be a unit: the
+recursion needs units everywhere, a flip at the vertex it flips, and the
+formulas units on the normal-form slots.
 """
 
 from .coeffs import (CoeffMap, NormalForm, flip, leaf_removal_transforms,

@@ -28,7 +28,7 @@ from .forests import dynkin, dynkin_tiling, leafy_tiling, read_tree_file
 from .formulas import formula_count
 from .gf import field_from_order
 from .qpoly import FamilyPolicy, fit_and_verify
-from .recursion import recursive_count
+from .recursion import _require_invertible, recursive_count
 from .singular import singular_points
 from .suites import PAPER_SUITE, run_suite
 
@@ -138,6 +138,8 @@ def cmd_count(args) -> int:
             methods.remove("formula")
         else:
             raise UsageError("--method formula needs a Dynkin variety")
+    if "recursion" in methods:  # refuse a zero before brute force runs
+        _require_invertible(instance)
     results, elapsed_ms = {}, {}
     for m in methods:
         start = time.perf_counter()

@@ -26,26 +26,24 @@ from .gf import Field
 class CoeffMap:
     """Assignment vertex -> field element, stored as encodings.
 
-    `make` requires invertible values; its `allow_zero` relaxes this for
-    the union-type varieties where the coefficient on one path endpoint
-    ranges over the whole field.
+    Any element is a coefficient, zero included: the counted fibres lie
+    over the whole affine space of coefficients.  Only the methods that
+    divide by a coefficient require it to be a unit: a flip (`apply_flips`,
+    so `flip`, `normalize` and the formula path), `leaf_removal_transforms`
+    and the recursion.
     """
 
     field: Field
     values: dict[int, int]
 
     @staticmethod
-    def make(field: Field, values: dict, allow_zero: bool = False) -> "CoeffMap":
+    def make(field: Field, values: dict) -> "CoeffMap":
         """Encode each value: an int by `Field.from_int`, a digit sequence
         by `Field.from_vector`."""
-        enc = {}
-        for v, val in values.items():
-            e = (field.from_int(val) if isinstance(val, int)
-                 else field.from_vector(val))
-            if e == 0 and not allow_zero:
-                raise ZeroCoefficient(f"coefficient at vertex {v} is zero")
-            enc[int(v)] = e
-        return CoeffMap(field, enc)
+        return CoeffMap(field, {
+            int(v): (field.from_int(val) if isinstance(val, int)
+                     else field.from_vector(val))
+            for v, val in values.items()})
 
     @staticmethod
     def ones(field: Field, forest: Forest) -> "CoeffMap":
@@ -71,7 +69,7 @@ def apply_flips(field: Field, values: dict[int, int],
                 flips) -> dict[int, int]:
     """`values` after each flip (s, t, others) in turn: the coefficient at
     s becomes 1 and those on `others`, the other neighbors of t, are divided
-    by the old coefficient at s."""
+    by the old coefficient at s.  ZeroCoefficient when that is zero."""
     vals = dict(values)
     for s, _, others in flips:
         a_s = vals[s]
@@ -107,12 +105,10 @@ def normalize(forest: Forest, tiling: DominoTiling,
     that never divides a vertex already set to 1 gives the same values, on
     the uncovered vertices too; the trace lists the flips (s, partner) in
     the order they are applied.  NotAdjacent when a domino is not an edge
-    of `forest`.
+    of `forest`; ZeroCoefficient when a covered vertex is zero, since its
+    own flip divides by it (a zero stays zero under division).
     """
     plan = flip_plan(forest, tiling)
-    for v in tiling.covered:
-        if coeffs.enc(v) == 0:
-            raise ZeroCoefficient(f"coefficient at covered vertex {v} is zero")
     out = CoeffMap(coeffs.field,
                    apply_flips(coeffs.field, coeffs.values, plan))
     return NormalForm(out, tuple((s, t) for s, t, _ in plan))
@@ -130,7 +126,8 @@ def leaf_removal_transforms(forest: Forest, coeffs: CoeffMap, leaf: int):
     Returns (g, the encodings on T - f, the encodings on T - {f, g}); those
     on T - f are the ones of `coeffs`, before any beta.  Only `vertices`
     and `adjacency` are read from `forest`, so a recursion record will do.
-    NotALeaf when f is not a vertex of degree 1.
+    NotALeaf when f is not a vertex of degree 1; ZeroCoefficient when
+    alpha_f, which it divides by, is zero.
     """
     if leaf not in forest.adjacency:
         raise NotALeaf(f"vertex {leaf} is not in the forest")

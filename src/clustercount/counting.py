@@ -280,11 +280,10 @@ def _unit_params(field: Field, dynkin_type: str, rank: int):
 
 
 def _a_union_member(field: Field, n: int, a: int) -> VarietyInstance:
-    """A_n with the coefficient a (zero allowed) on vertex 1 and 1 elsewhere."""
+    """A_n with the coefficient a (zero too) on vertex 1 and 1 elsewhere."""
     f = dynkin("A", n)
     values = {v: 1 for v in f.vertices} | {1: a}
-    return VarietyInstance(f, CoeffMap.make(field, values, allow_zero=True),
-                           field)
+    return VarietyInstance(f, CoeffMap.make(field, values), field)
 
 
 def count_Y(n: int, field: Field) -> int:

@@ -81,31 +81,22 @@ class QPolynomial:
 
 
 def interpolate_counts(samples) -> QPolynomial:
-    """Unique Lagrange interpolant through (q, count) samples, exact."""
+    """Unique interpolant through (q, count) samples, exact: the Newton
+    form's divided differences, expanded by Horner's rule."""
     samples = [(int(x), int(y)) for x, y in samples]
     xs = [x for x, _ in samples]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa(f"repeated q values in {sorted(xs)}")
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
-    n = len(samples)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(samples):
-        # basis polynomial prod_{j != i} (q - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d + 1] += c
-                nxt[d] -= c * xj
-            basis = nxt
-        scale = Fraction(yi, denom)
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
+    dd = [Fraction(y) for _, y in samples]  # dd[i] becomes f[x_0..x_i]
+    for k in range(1, len(dd)):
+        for i in range(len(dd) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    coeffs = []
+    for x, c in zip(reversed(xs), reversed(dd)):  # coeffs * (q - x) + c
+        coeffs = [a - x * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c
     return QPolynomial.make(coeffs)
 
 

@@ -190,6 +190,8 @@ def _product(pieces: tuple, values: dict[int, int], field: Field,
 
 
 def _require_invertible(instance: VarietyInstance) -> None:
+    """ZeroCoefficient unless every coefficient is a unit: the recursion's
+    splits and normalizing flips divide by them."""
     for v in instance.forest.vertices:
         if instance.coeffs.enc(v) == 0:
             raise ZeroCoefficient(f"coefficient at vertex {v} is zero")

@@ -17,6 +17,7 @@ from .coeffs import CoeffMap, flip, normalize
 from .counting import (VarietyInstance, _a_union_member, _unit_params,
                        brute_count, check_z_fibration, count_Y, count_Z,
                        normal_form_instance)
+from .errors import ClusterCountError
 from .forests import Forest, dynkin, leafy_tiling
 from .formulas import (branches_for, epoly_check, formula_count,
                        formula_count_params, formula_Y, formula_Z)
@@ -48,10 +49,13 @@ def _battery(name, checks):
     start = time.perf_counter()
     failures = []
     checked = 0
-    for label, ok in checks:
-        checked += 1
-        if not ok:
-            failures.append(label)
+    try:
+        for label, ok in checks:
+            checked += 1
+            if not ok:
+                failures.append(label)
+    except (ArithmeticError, ClusterCountError) as exc:
+        failures.append(f"raised {type(exc).__name__}: {exc}")
     elapsed = (time.perf_counter() - start) * 1000
     return SuiteResult(name, not failures, checked, elapsed, failures)
 

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import clustercount
-from clustercount import _countpy, qpoly
+from clustercount import (CoeffMap, VarietyInstance, _countpy, brute_count,
+                          cli, dynkin, field_from_order, qpoly)
 from clustercount.cli import build_parser, main
+from clustercount.forests import read_tree_file
+from clustercount.singular import matching_singular_points
 from clustercount.suites import PAPER_SUITE
 
 
@@ -417,6 +420,133 @@ class TestFailedFit:
         assert [q for q, _ in payload["held_out"]] == [23, 29]
         assert payload["residuals"] == [0, -1]
         assert payload["ok"] is False
+
+
+def test_check_reports_a_battery_that_raises(capsys, monkeypatch):
+    # a kernel that claims more points than the q^(2n) pairs (x, x') makes
+    # brute force raise; each battery that counts by it fails with the raise
+    # as its label, and the other batteries still run
+    real = _countpy.count_block
+
+    def lying(q, mul, mulq, neg_inv, alpha, *rest):
+        return (real(q, mul, mulq, neg_inv, alpha, *rest)
+                + q ** (2 * len(alpha)) + 1)
+
+    monkeypatch.setattr(_countpy, "count_block", lying)
+    code, out, err = run_cli(capsys, "check", "--suite", "paper")
+    assert code == 1 and err == ""
+    results = json.loads(out)
+    assert len(results) == len(PAPER_SUITE)
+    passed = [r["name"] for r in results if r["ok"]]
+    assert passed == ["Z fibration battery",
+                      "smoothness classification battery",
+                      "cohomology consistency battery", "interpolation battery"]
+    for r in results:
+        if not r["ok"]:
+            assert r["failures"][-1].startswith(
+                "raised ArithmeticError: numpy scan of ")
+
+
+class TestZeroCoefficients:
+    """A zero coefficient is a point of the coefficient space: brute force,
+    `singular` and `normalize` take it, and the methods that divide by it
+    refuse it with exit 2."""
+
+    # per variety: an alpha with zeros and with singular points, and one
+    # with zeros on uncovered vertices only
+    ALPHAS = {"A3": ("1,0,1", "0,2,3"), "D4": ("0,1,0,1", "0,0,2,3"),
+              "tree": ("1,0,1,0,0", "0,2,3,2,3")}
+
+    @pytest.fixture(params=[5, 4, 9], ids=lambda q: f"q{q}")
+    def q(self, request):
+        return request.param
+
+    @pytest.fixture(params=list(ALPHAS))
+    def variety(self, request, tmp_path):
+        """(name, CLI arguments, forest) of a variety."""
+        name = request.param
+        if name == "tree":
+            path = tmp_path / "tree.txt"
+            path.write_text("1 2\n2 3\n2 4\n4 5\n")
+            return name, ["--tree-file", str(path)], read_tree_file(path)
+        return name, ["--type", name[0], "--rank", name[1]], dynkin(
+            name[0], int(name[1]))
+
+    @pytest.fixture
+    def no_brute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("brute force ran on an input the recursion refuses")
+        monkeypatch.setattr(cli, "brute_count", refuse)
+
+    @staticmethod
+    def _instance(forest, q, alpha):
+        field = field_from_order(q)
+        values = dict(zip(forest.vertices, map(int, alpha.split(","))))
+        return VarietyInstance(forest, CoeffMap.make(field, values), field)
+
+    @staticmethod
+    def _count(capsys, args, q, *more):
+        code, out, _ = run_cli(capsys, "count", *args, "--q", str(q),
+                               "--method", "brute", *more)
+        assert code == 0
+        return json.loads(out)["count"]
+
+    def test_brute_count_and_singular(self, capsys, q, variety):
+        name, args, forest = variety
+        alpha = self.ALPHAS[name][0]
+        inst = self._instance(forest, q, alpha)
+        assert (self._count(capsys, args, q, "--alpha", alpha)
+                == str(brute_count(inst).count))
+        code, out, _ = run_cli(capsys, "singular", *args, "--q", str(q),
+                               "--alpha", alpha)
+        assert code == 0
+        text = inst.field.text
+        expected = [{key: {str(v): text(c) for v, c in zip(forest.vertices, cs)}
+                     for key, cs in (("x", xs), ("xp", xps))}
+                    for xs, xps in matching_singular_points(inst)]
+        assert expected  # each alpha was chosen to have singular points
+        assert json.loads(out)["singular_points"] == expected
+
+    def test_normalize_keeps_uncovered_zero(self, capsys, q, variety,
+                                            tmp_path):
+        name, args, _ = variety
+        alpha = self.ALPHAS[name][1]
+        code, out, _ = run_cli(capsys, "normalize", *args, "--q", str(q),
+                               "--alpha", alpha)
+        assert code == 0
+        payload = json.loads(out)
+        normalized = payload["normalized"]
+        for v, a in zip(sorted(normalized, key=int), alpha.split(",")):
+            if a == "0":
+                assert int(v) not in payload["covered"]
+                assert normalized[v] == payload["alpha"][v]
+        coeff_file = tmp_path / "normalized.txt"
+        coeff_file.write_text("".join(f"{v} {a}\n"
+                                      for v, a in normalized.items()))
+        assert (self._count(capsys, args, q, "--coeff-file", str(coeff_file))
+                == self._count(capsys, args, q, "--alpha", alpha))
+
+    @pytest.mark.parametrize("method", ["all", "recursion"])
+    def test_recursion_refuses_before_brute_force(self, capsys, q, variety,
+                                                  no_brute, method):
+        name, args, _ = variety
+        code, out, err = run_cli(capsys, "count", *args, "--q", str(q),
+                                 "--alpha", self.ALPHAS[name][0],
+                                 "--method", method)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: coefficient at vertex \d+ is zero\n", err)
+
+    @pytest.mark.parametrize("name", ["A3", "D4"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_formula_refuses(self, capsys, q, name, which):
+        # a zero on a covered vertex stops its flip, one on a normal-form
+        # slot the formula
+        code, out, err = run_cli(capsys, "count", "--type", name[0],
+                                 "--rank", name[1], "--q", str(q), "--alpha",
+                                 self.ALPHAS[name][which], "--method",
+                                 "formula")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 def test_parser_built_once(capsys):

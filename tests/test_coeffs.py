@@ -41,7 +41,7 @@ class TestFlip:
 
     def test_zero_coefficient(self):
         f = dynkin("A", 2)
-        cm = CoeffMap.make(field_make(5), {1: 0, 2: 1}, allow_zero=True)
+        cm = CoeffMap.make(field_make(5), {1: 0, 2: 1})
         with pytest.raises(ZeroCoefficient):
             flip(f, cm, 1, 2)
 
@@ -224,7 +224,7 @@ class TestNormalize:
 
     def test_zero_on_covered_vertex_rejected(self):
         f = dynkin("A", 2)
-        cm = CoeffMap.make(field_make(3), {1: 0, 2: 1}, allow_zero=True)
+        cm = CoeffMap.make(field_make(3), {1: 0, 2: 1})
         with pytest.raises(ZeroCoefficient):
             normalize(f, DominoTiling.make([(1, 2)]), cm)
 
@@ -279,7 +279,7 @@ class TestLeafRemoval:
 
     def test_zero_leaf_coefficient(self):
         f = dynkin("A", 2)
-        cm = CoeffMap.make(field_make(5), {1: 0, 2: 1}, allow_zero=True)
+        cm = CoeffMap.make(field_make(5), {1: 0, 2: 1})
         with pytest.raises(ZeroCoefficient):
             leaf_removal_transforms(f, cm, 1)
 

@@ -149,8 +149,7 @@ class TestBruteCount:
             tree = random_tree(rng, n)
             f = Forest.make(tree.vertices,
                             [e for e in tree.edges if rng.random() < 0.75])
-            cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices},
-                               allow_zero=True)
+            cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices})
             inst = VarietyInstance(f, cm, F)
             tables = _tables(F)
             lo = rng.randint(0, q**n)
@@ -176,7 +175,7 @@ class TestBruteCount:
                                  if v != centre])
                 values = {v: rng.randrange(q) for v in f.vertices}
                 values[centre] = rng.randrange(1, q)
-                cm = CoeffMap.make(F, values, allow_zero=True)
+                cm = CoeffMap.make(F, values)
                 inst = VarietyInstance(f, cm, F)
                 lo = rng.randrange(q ** (n - 1) if centre == 1 else q**n)
                 hi = min(lo + rng.randint(1, 2000), q**n)
@@ -276,7 +275,7 @@ class TestBruteCount:
                             + [e for e in rest if rng.random() < 0.75])
             values = {v: rng.randrange(q) for v in f.vertices}
             values[1] = rng.randrange(1, q)
-            cm = CoeffMap.make(F, values, allow_zero=True)
+            cm = CoeffMap.make(F, values)
             inst = VarietyInstance(f, cm, F)
             lo = rng.randrange(min(q ** (n - 1 if i else n), 10**7))
             hi = min(lo + rng.randint(1, 2000), q**n)
@@ -474,8 +473,7 @@ class TestBrutePoints:
             if i % 3:
                 cm = random_coeffs(rng, F, f)
             else:
-                cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices},
-                                   allow_zero=True)
+                cm = CoeffMap.make(F, {v: rng.randrange(q) for v in f.vertices})
             inst = VarietyInstance(f, cm, F)
             pts = list(brute_points(inst))
             assert all(record_satisfies(inst, p) for p in pts)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from clustercount import field_from_order, field_make
 from clustercount.coeffs import parse_coeff_text
-from clustercount.errors import (DivisionByZero, NonPrime, UnsupportedSize,
-                                 ZeroCoefficient)
+from clustercount.errors import DivisionByZero, NonPrime, UnsupportedSize
 from clustercount.forests import Forest
 from clustercount.gf import is_prime
 
@@ -108,15 +107,13 @@ def test_f4_generator_square():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 27])
 def test_text_reads_back_through_coeff_file(q):
-    # every printed nonzero element, read back as a coefficient-file value,
-    # is the encoding it was printed from; zero is refused, as by the CLI
+    # every printed element, zero included, read back as a coefficient-file
+    # value, is the encoding it was printed from
     f = field_from_order(q)
     single = Forest.make([1], [])
-    for code in range(1, q):
+    for code in range(q):
         cm = parse_coeff_text(f"1 {f.text(code)}\n", f, single)
         assert cm.enc(1) == code
-    with pytest.raises(ZeroCoefficient):
-        parse_coeff_text(f"1 {f.text(0)}\n", f, single)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])

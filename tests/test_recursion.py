@@ -416,7 +416,7 @@ def test_forest_product():
 def test_zero_coefficient_rejected():
     f = dynkin("A", 2)
     F = field_make(3)
-    cm = CoeffMap.make(F, {1: 0, 2: 1}, allow_zero=True)
+    cm = CoeffMap.make(F, {1: 0, 2: 1})
     with pytest.raises(ZeroCoefficient):
         recursive_count(VarietyInstance(f, cm, F))
 
@@ -439,7 +439,7 @@ def test_split_zero_coefficient_rejected():
     f = dynkin("A", 3)
     F = field_make(3)
     for values in ({1: 1, 2: 0, 3: 1}, {1: 1, 2: 1, 3: 0}, {1: 0, 2: 1, 3: 1}):
-        inst = VarietyInstance(f, CoeffMap.make(F, values, allow_zero=True), F)
+        inst = VarietyInstance(f, CoeffMap.make(F, values), F)
         with pytest.raises(ZeroCoefficient):
             leaf_split_counts(inst, 1)
 

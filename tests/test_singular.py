@@ -25,7 +25,7 @@ def _biased_instance(rng, field, forest, allow_zero=False):
     values = {v: field.neg_enc(1) if v in minus_one
               else rng.randrange(low, field.q) for v in vs}
     return VarietyInstance(
-        forest, CoeffMap.make(field, values, allow_zero=allow_zero), field)
+        forest, CoeffMap.make(field, values), field)
 
 
 def _random_forest(rng, n):
